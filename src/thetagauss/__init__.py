@@ -15,6 +15,7 @@ from .engine import (
     theta_derivatives,
     theta_du,
     theta_du_many,
+    theta_du_stack,
     truncation_radius,
 )
 from .distribution import DiscreteGaussian, MomentKey, SplitSpec, moments_to_cumulants
@@ -33,6 +34,7 @@ from .geometry import (
     kummer_quartic_fit,
     log_derivatives,
     statistical_map,
+    statistical_map_stack,
     verify_cubic,
 )
 from .multiindex import MultiIndex, moment_map_indices
@@ -62,6 +64,7 @@ __all__ = [
     "theta",
     "theta_du",
     "theta_du_many",
+    "theta_du_stack",
     "theta_derivatives",
     "theta_dB",
     "truncation_radius",
@@ -74,6 +77,7 @@ __all__ = [
     "draw",
     "chi_square",
     "statistical_map",
+    "statistical_map_stack",
     "cubic_coefficients",
     "verify_cubic",
     "find_theta_zero",

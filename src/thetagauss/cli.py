@@ -25,6 +25,7 @@ from .engine import (
     EPS_FLOOR,
     ThetaPoint,
     theta,
+    theta_du_stack,
     truncation_radius,
 )
 from .distribution import DiscreteGaussian
@@ -44,7 +45,15 @@ from .errors import (
     TooFewSamples,
 )
 from .fitting import CanonicalPoint, MomentData, fit, fit_from_sample
-from .geometry import cubic_coefficients, identifiability_probe, kummer_quartic_fit, statistical_map, verify_cubic
+from .geometry import (
+    ProjectivePoint,
+    cubic_coefficients,
+    identifiability_probe,
+    kummer_quartic_fit,
+    statistical_map,
+    statistical_map_stack,
+    verify_cubic,
+)
 from .multiindex import moment_map_indices
 from .sampler import RNG_ALGORITHM, SamplerConfig, draw, support_radius
 
@@ -489,21 +498,23 @@ def _run_kummer(cfg: JobConfig):
     if count < 36:
         raise InputError("count", "kummer needs at least 36 points")
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    points = []
-    while len(points) < count:
-        x = rng.uniform(0.0, 1.0, 2)
-        y = rng.uniform(0.0, 1.0, 2)
-        u = 1j * x + B @ y
-        if abs(theta(ThetaPoint(u, B), 1e-10)) < 0.2:
-            continue
-        points.append(statistical_map(2, ThetaPoint(u, B), 1e-13))
-    fit_result = kummer_quartic_fit(B, points)
+    # candidates u = i x + B y, rows (x1, x2, y1, y2) drawn in stream order;
+    # those near the divisor (|theta| < 0.2) are rejected, the first `count`
+    # others kept.  Each batch draws twice what is still missing.
+    U = np.empty((0, 2), dtype=complex)
+    while len(U) < count:
+        draws = rng.uniform(0.0, 1.0, (2 * (count - len(U)), 4))
+        cand = 1j * draws[:, :2] + draws[:, 2:] @ B.T
+        t = theta_du_stack([(0, 0)], cand, B, 1e-10)[:, 0]
+        U = np.vstack([U, cand[np.abs(t) >= 0.2]])
+    coords = statistical_map_stack(2, U[:count], B, 1e-13)
+    fit_result = kummer_quartic_fit(B, [ProjectivePoint(c) for c in coords])
     echo = {"g": 2, "B": _pairs_matrix(B), "count": count, "seed": cfg.seed}
     result = {
         "residual": fit_result.residual,
         "second_smallest": float(fit_result.singular_values[-2]),
         "coefficients": _pairs_vector(fit_result.coeffs),
-        "points_used": len(points),
+        "points_used": len(coords),
     }
     return result, echo, _diag(eps=1e-13)
 

@@ -70,6 +70,9 @@ def moments_to_cumulants(moments: dict, g: int) -> dict:
     with i the first coordinate where a_i > 0 and a' = a - e_i,
 
         kappa_a = mu_a - sum_{b < a'} C(a', b) kappa_{b + e_i} mu_{a' - b}.
+
+    Table values may be scalars or equal-shape arrays (one entry per
+    point of a stack); the input table is never modified.
     """
     kappa = {}
     for a in sorted((k for k in moments if sum(k) >= 1), key=sum):
@@ -81,7 +84,7 @@ def moments_to_cumulants(moments: dict, g: int) -> dict:
                 continue
             bi = tuple(b[k] + (1 if k == i else 0) for k in range(g))
             rest = tuple(ap[k] - b[k] for k in range(g))
-            acc -= mi_binomial(ap, b) * kappa[bi] * moments[rest]
+            acc = acc - mi_binomial(ap, b) * kappa[bi] * moments[rest]
         kappa[a] = acc
     return kappa
 
@@ -94,7 +97,7 @@ class DiscreteGaussian:
     divisor are invalid parameters.
     """
 
-    __slots__ = ("point", "theta_value", "eps", "_derivs", "_derivs_order")
+    __slots__ = ("point", "theta_value", "eps", "_derivs", "_derivs_order", "_cumulants")
 
     def __init__(self, u, B, eps: float = 1e-12):
         point = u if isinstance(u, ThetaPoint) and B is None else None
@@ -111,6 +114,7 @@ class DiscreteGaussian:
         self.eps = eps
         self._derivs = {}
         self._derivs_order = -1
+        self._cumulants = {}
 
     @classmethod
     def from_point(cls, point: ThetaPoint, eps: float = 1e-12) -> "DiscreteGaussian":
@@ -139,6 +143,7 @@ class DiscreteGaussian:
             table = theta_du_many(indices_up_to(self.g, order), self.point, self.eps)
             self._derivs = table
             self._derivs_order = order
+            self._cumulants = {}  # cumulant tables came from the old derivatives
         return self._derivs
 
     def _moment_table(self, order: int) -> dict:
@@ -202,7 +207,12 @@ class DiscreteGaussian:
         a = exponents(a, self.g)
         if sum(a) < 1:
             raise ValueError("cumulants are defined for |a| >= 1")
-        kappa = moments_to_cumulants(self._moment_table(sum(a)), self.g)
+        # one recursion per order serves every cumulant of that order
+        order = sum(a)
+        kappa = self._cumulants.get(order)
+        if kappa is None:
+            kappa = moments_to_cumulants(self._moment_table(order), self.g)
+            self._cumulants[order] = kappa
         return kappa[a]
 
     def statistic(self, key: MomentKey) -> complex:

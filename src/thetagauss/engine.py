@@ -19,6 +19,27 @@ is bounded shell by shell in the sup norm, (2k+1)^g - (2k-1)^g points per
 shell.  Lattice points are enumerated by increasing ||n||^2, lexicographic
 within shells, so every sum has a fixed deterministic order.
 
+Evaluation is stacked.  theta_du_stack takes k arguments u (the rows of a
+k x g array) at one B and returns D^a theta for every row and multi-index;
+theta, theta_du and theta_du_many are its k = 1 case.  Rows are sorted by
+rho = ||Re u|| and cut into blocks of STACK_BLOCK rows, and each block is
+summed over one ball, with the radius truncation_radius certifies at the
+block's largest rho for the highest order asked for.  That radius is a
+true certificate for every row of the block, because both parts of the
+radius rule grow with rho: the tail bound (rho enters each shell term only
+through the factor exp(2*pi*rho*x), x >= 0) and the search start (the peak
+of the shell-term profile, and rho/lmin).  A radius R found at the largest
+rho of a block therefore lies at or past the search start of every smaller
+rho, where the bound at R is no larger and so still below eps.  Repeated-B
+callers (the scan of find_theta_zero, the kummer job) thus pay one
+certificate per block, not one per argument.
+
+The summands are formed in real arithmetic: Re and Im of the exponent as
+sums over the g coordinates, then exp(Re) cos(Im) and exp(Re) sin(Im),
+contracted with the table of monomials n^a in one real matrix product per
+tile of lattice points.  A value that is not finite in double precision
+(the summands overflow) raises ToleranceUnreachable.
+
 All functions are pure; cached lattice enumerations are immutable.
 """
 
@@ -42,6 +63,16 @@ EPS_FLOOR = 1e-14
 # Smallest admissible eigenvalue of Re(B); below this the sum is treated
 # as divergent for practical purposes.
 LAMBDA_MIN_FLOOR = 1e-12
+
+# Rows of a stacked evaluation that share one certified lattice ball.
+# Larger blocks pay fewer certificates but sum more rows over the ball of
+# their largest ||Re u||, and hold a points x rows work array in memory.
+STACK_BLOCK = 128
+
+# Entries of a tile's work arrays: a block sums its lattice ball in tiles of
+# points whose monomial table plus terms hold at most this many doubles, so
+# memory stays bounded (about 1 MB per array) however large the ball.
+TILE_ELEMENTS = 1 << 17
 
 DEFAULT_MAX_RADIUS = 10_000
 MAX_RADIUS_ENV = "THETA_GAUSS_MAX_RADIUS"
@@ -264,18 +295,93 @@ def lattice_points(g: int, radius: float) -> np.ndarray:
     return _lattice_points_cached(int(g), r2)
 
 
-def _summands(p: ThetaPoint, radius: float):
-    pts = lattice_points(p.g, radius)
-    quad = np.einsum("pi,ij,pj->p", pts, p.B.entries, pts)
-    vals = np.exp(TWO_PI * (-0.5 * quad + pts @ p.u))
-    return pts, vals
+def _tile_sums(pts: np.ndarray, idx: list, B_planes: np.ndarray, U_planes: np.ndarray):
+    """Partial sums over the lattice points `pts` (float, N x g):
+
+        sum_n n^a exp(2 pi Re E) cos(2 pi Im E),  sum_n n^a exp(2 pi Re E) sin(2 pi Im E)
+
+    with E = n.u - 1/2 n^T B n, for every multi-index a in idx (rows) and
+    every argument u (columns, the cos sums then the sin sums).  B_planes
+    holds Re B and Im B, U_planes[i] the real and imaginary parts of
+    coordinate i of the arguments (g x 2 x k); all arithmetic is real.
+    """
+    g = pts.shape[1]
+    # exponent as points x (re, im) x arguments, summed coordinate by coordinate
+    expo = -0.5 * np.einsum("cpi,pi->pc", pts @ B_planes, pts)[:, :, None]
+    for i in range(g):
+        expo = expo + pts[:, i, None, None] * U_planes[i]
+    expo *= TWO_PI
+    terms = np.empty_like(expo)
+    np.cos(expo[:, 1], out=terms[:, 0])
+    np.sin(expo[:, 1], out=terms[:, 1])
+    terms *= np.exp(expo[:, :1])
+    # monomial table n^a, one row per multi-index, by repeated multiplication
+    top = max((max(a) for a in idx), default=0)
+    powers = [np.ones_like(pts)]  # powers[e][:, i] = n_i^e
+    for _ in range(top):
+        powers.append(powers[-1] * pts)
+    mono = np.ones((len(idx), len(pts)))
+    for j, a in enumerate(idx):
+        for i, ai in enumerate(a):
+            if ai:
+                mono[j] *= powers[ai][:, i]
+    return mono @ terms.reshape(len(pts), -1)
+
+
+def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
+    """D^a_u theta(u, B) for every row u of U and every multi-index a in
+    `indices`, each to certified absolute error < eps.
+
+    U is a k x g array of arguments at the one matrix B.  Returns a complex
+    k x len(indices) array; column j holds the multi-index indices[j].
+
+    Rows are taken in order of increasing ||Re u|| and summed in blocks of
+    STACK_BLOCK rows, each block over one lattice ball certified at its
+    largest ||Re u|| for the highest order in `indices` (see the module
+    docstring for why that radius certifies every row of the block).  The
+    ball is summed in tiles of at most TILE_ELEMENTS array entries.
+
+    Raises ToleranceUnreachable when a value is not finite in double
+    precision (the summands overflow) or a certificate cannot be issued.
+    """
+    B = as_siegel(B)
+    g = B.g
+    U = np.asarray(U, dtype=complex)
+    if U.ndim != 2 or U.shape[1] != g:
+        raise ValueError(f"U must be a k x {g} array of arguments")
+    idx = [exponents(a, g) for a in indices]
+    worst = max(idx, key=sum) if idx else (0,) * g
+    scale = np.array([TWO_PI ** sum(a) for a in idx])[:, None]
+    B_planes = np.array([B.entries.real, B.entries.imag])
+    out = np.empty((len(U), len(idx)), dtype=complex)
+    order = np.argsort(np.einsum("ri,ri->r", U.real, U.real), kind="stable")
+    for start in range(0, len(U), STACK_BLOCK):
+        rows = order[start : start + STACK_BLOCK]
+        k = len(rows)
+        radius = truncation_radius(B, U[rows[-1]], worst, eps).radius
+        pts = lattice_points(g, radius)
+        U_planes = np.empty((g, 2, k))
+        U_planes[:, 0] = U.real[rows].T
+        U_planes[:, 1] = U.imag[rows].T
+        # points per tile: the monomial table and the terms, each at most
+        # TILE_ELEMENTS entries together
+        step = max(1, TILE_ELEMENTS // (len(idx) + 2 * k))
+        sums = np.zeros((len(idx), 2 * k))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(pts), step):
+                sums += _tile_sums(pts[lo : lo + step].astype(float), idx, B_planes, U_planes)
+        out[rows] = (scale * (sums[:, :k] + 1j * sums[:, k:])).T
+    if not np.isfinite(out).all():
+        raise ToleranceUnreachable(
+            "theta or one of its derivatives is not finite in double precision "
+            "(the summands overflow)"
+        )
+    return out
 
 
 def theta(p: ThetaPoint, eps: float = 1e-12) -> complex:
     """theta(u, B) to certified absolute error < eps."""
-    budget = truncation_radius(p.B, p.u, None, eps)
-    _, vals = _summands(p, budget.radius)
-    return complex(vals.sum())
+    return complex(theta_du_stack([(0,) * p.g], p.u[None, :], p.B, eps)[0, 0])
 
 
 def theta_du(a, p: ThetaPoint, eps: float = 1e-12) -> complex:
@@ -283,11 +389,7 @@ def theta_du(a, p: ThetaPoint, eps: float = 1e-12) -> complex:
 
     a is a multi-index over the g coordinates of u.
     """
-    a = exponents(a, p.g)
-    budget = truncation_radius(p.B, p.u, a, eps)
-    pts, vals = _summands(p, budget.radius)
-    mono = _monomial(pts, a)
-    return complex(TWO_PI ** sum(a) * (mono * vals).sum())
+    return complex(theta_du_stack([a], p.u[None, :], p.B, eps)[0, 0])
 
 
 def theta_du_many(indices, p: ThetaPoint, eps: float = 1e-12) -> dict:
@@ -297,27 +399,13 @@ def theta_du_many(indices, p: ThetaPoint, eps: float = 1e-12) -> dict:
     lower orders as well (their summand bounds are smaller shellwise).
     """
     idx = [exponents(a, p.g) for a in indices]
-    worst = max(idx, key=sum) if idx else (0,) * p.g
-    budget = truncation_radius(p.B, p.u, worst, eps)
-    pts, vals = _summands(p, budget.radius)
-    out = {}
-    for a in idx:
-        mono = _monomial(pts, a)
-        out[a] = complex(TWO_PI ** sum(a) * (mono * vals).sum())
-    return out
+    values = theta_du_stack(idx, p.u[None, :], p.B, eps)[0]
+    return {a: complex(v) for a, v in zip(idx, values)}
 
 
 def theta_derivatives(p: ThetaPoint, max_order: int, eps: float = 1e-12) -> dict:
     """All D^a_u theta with |a| <= max_order, keyed by exponent tuple."""
     return theta_du_many(indices_up_to(p.g, max_order), p, eps)
-
-
-def _monomial(pts: np.ndarray, a) -> np.ndarray:
-    mono = np.ones(len(pts))
-    for i, ai in enumerate(a):
-        if ai:
-            mono = mono * pts[:, i].astype(float) ** ai
-    return mono
 
 
 def theta_dB(i: int, j: int, p: ThetaPoint, eps: float = 1e-12) -> complex:

@@ -29,7 +29,7 @@ from math import pi
 import numpy as np
 
 from .distribution import moments_to_cumulants
-from .engine import TWO_PI, ThetaPoint, as_siegel, theta, theta_du_many
+from .engine import TWO_PI, ThetaPoint, as_siegel, theta, theta_du_many, theta_du_stack
 from .errors import (
     DivisorHit,
     IndeterminatePoint,
@@ -91,32 +91,44 @@ def statistical_map(d: int, p: ThetaPoint, eps: float = 1e-12) -> ProjectivePoin
     Raises IndeterminatePoint when every coordinate vanishes (singular
     divisor point).
     """
+    return ProjectivePoint(statistical_map_stack(d, p.u[None, :], p.B, eps)[0])
+
+
+def statistical_map_stack(d: int, U, B, eps: float = 1e-12) -> np.ndarray:
+    """Degree-d moment map coordinates (see :func:`statistical_map`) at every
+    row u of the k x g array U, at the one matrix B, from one stacked theta
+    evaluation.  Returns a complex k x len(moment_map_indices(g, d)) array.
+
+    Raises IndeterminatePoint when every coordinate of some row vanishes.
+    """
     if d < 2:
         raise ValueError("the map needs degree d >= 2")
-    g = p.g
+    B = as_siegel(B)
+    g = B.g
     labels = moment_map_indices(g, d)
-    table = theta_du_many(indices_up_to(g, d), p, eps)
+    idx = indices_up_to(g, d)
+    table = dict(zip(idx, theta_du_stack(idx, U, B, eps).T))
     t = table[(0,) * g]
-    firsts = [table[tuple(int(i == k) for k in range(g))] for i in range(g)]
+    coords = np.zeros((len(t), len(labels)), dtype=complex)
 
-    if abs(t) >= DIVISOR_TOL:
-        mus = {a: v / t / TWO_PI ** sum(a) for a, v in table.items()}
+    off = np.abs(t) >= DIVISOR_TOL
+    if off.any():
+        to = t[off]
+        mus = {a: v[off] / to / TWO_PI ** sum(a) for a, v in table.items()}
         kappa = moments_to_cumulants(mus, g)
-        coords = np.array(
-            [t**d if sum(a) == 0 else t**d * kappa[a] for a in labels]
-        )
-    else:
-        coords = np.array(
-            [
-                np.prod([f**ai for f, ai in zip(firsts, a)]) if sum(a) == d else 0.0j
-                for a in labels
-            ]
-        )
-    if np.max(np.abs(coords)) < 1e-12:
+        for j, a in enumerate(labels):
+            coords[off, j] = to**d if sum(a) == 0 else to**d * kappa[a]
+    on = ~off
+    if on.any():
+        firsts = [table[tuple(int(i == k) for k in range(g))][on] for i in range(g)]
+        for j, a in enumerate(labels):
+            if sum(a) == d:
+                coords[on, j] = np.prod([f**ai for f, ai in zip(firsts, a)], axis=0)
+    if np.any(np.max(np.abs(coords), axis=1) < 1e-12):
         raise IndeterminatePoint(
             "all map coordinates vanish; singular point of the theta divisor"
         )
-    return ProjectivePoint(coords)
+    return coords
 
 
 def log_derivatives(p: ThetaPoint, max_order: int, eps: float = 1e-12) -> dict:
@@ -221,6 +233,12 @@ def find_theta_zero(
     coarse scan of the complex t rectangle followed by Newton refinement on
     t -> theta(base + t*direction, B).
 
+    The grid x grid scan is one stacked evaluation (theta_du_stack, eps
+    1e-8): the scan points share B, so they share lattice balls and pay one
+    truncation certificate per block of rows, not one per point.  Newton
+    starts from the five grid points of smallest |theta| and evaluates
+    theta and its gradient at eps.
+
     Raises NoZeroFound when no candidate in the window refines to a zero.
     """
     B = as_siegel(B)
@@ -234,13 +252,10 @@ def find_theta_zero(
     (re_lo, re_hi), (im_lo, im_hi) = t_window
     res = np.linspace(re_lo, re_hi, grid)
     ims = np.linspace(im_lo, im_hi, grid)
-    cands = []
-    for x in res:
-        for y in ims:
-            t = complex(x, y)
-            val = abs(theta(ThetaPoint(base + t * direction, B), 1e-8))
-            cands.append((val, t))
-    cands.sort(key=lambda c: c[0])
+    ts = (res[:, None] + 1j * ims[None, :]).ravel()
+    scan = theta_du_stack([(0,) * B.g], base + ts[:, None] * direction, B, 1e-8)
+    # the five grid points of smallest |theta|, smallest first
+    cands = [complex(t) for t in ts[np.argsort(np.abs(scan[:, 0]), kind="stable")[:5]]]
 
     grad_idx = [tuple(int(i == k) for k in range(B.g)) for i in range(B.g)]
     span = max(re_hi - re_lo, im_hi - im_lo)
@@ -252,7 +267,7 @@ def find_theta_zero(
             and im_lo - margin <= t.imag <= im_hi + margin
         )
 
-    for _, t0 in cands[:5]:
+    for t0 in cands:
         t = t0
         for _ in range(60):
             point = ThetaPoint(base + t * direction, B)
@@ -322,13 +337,10 @@ def fit_vanishing_form(points, degree: int) -> FormFit:
             f"need at least {len(monomials)} points for a degree-{degree} form "
             f"in {nvars} variables, got {len(points)}"
         )
-    rows = []
-    for pt in points:
-        z = pt.normalized()
-        if len(z) != nvars:
-            raise ValueError("points live in different projective spaces")
-        rows.append([np.prod(z ** np.array(a)) for a in monomials])
-    M = np.array(rows, dtype=complex)
+    if any(len(pt.coords) != nvars for pt in points):
+        raise ValueError("points live in different projective spaces")
+    Z = np.array([pt.normalized() for pt in points])
+    M = np.prod(Z[:, None, :] ** np.array(monomials)[None, :, :], axis=2)
     _, s, vh = np.linalg.svd(M)
     if s[-2] < 1e-12:
         raise RankDeficientInput(
@@ -346,7 +358,9 @@ def kummer_quartic_fit(B, points) -> FormFit:
     """Quartic surface through d = 2 map images of a g = 2 parameter.
 
     `points` should be at least 40 pairwise distinct projective points in
-    P^3 produced by statistical_map(2, .); the fit certifies the Kummer
+    P^3 produced by the degree-2 map at B, one at a time by
+    statistical_map(2, .) or all at once by statistical_map_stack(2, U, B)
+    (one stacked theta evaluation for every point); the fit certifies the Kummer
     quartic when the residual is ~0 and the second-smallest singular value
     is bounded away from it.
     """

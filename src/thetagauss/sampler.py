@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import TWO_PI, lattice_points, theta, truncation_radius
-from .errors import TooFewSamples
+from .errors import ToleranceUnreachable, TooFewSamples
 from .fitting import CanonicalPoint
 
 RNG_ALGORITHM = "philox4x64"  # numpy Philox, 53-bit mantissa uniforms
@@ -49,7 +49,10 @@ def _support_weights(p: CanonicalPoint, tail_eps: float):
     radius = support_radius(p, tail_eps)
     pts = lattice_points(p.g, radius)
     quad = np.einsum("pi,ij,pj->p", pts, p.B, pts)
-    weights = np.exp(TWO_PI * (-0.5 * quad + pts @ p.u))
+    with np.errstate(over="ignore"):
+        weights = np.exp(TWO_PI * (-0.5 * quad + pts @ p.u))
+    if not np.isfinite(weights).all():
+        raise ToleranceUnreachable("sampler weights overflow double precision")
     return pts, weights
 
 

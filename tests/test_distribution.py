@@ -423,3 +423,57 @@ class TestIndependence:
         assert not d.is_independent_split(SplitSpec(1, 1))
         _, cov = d.mean_cov()
         assert abs(cov[0, 1]) > 1e-4
+
+
+class TestCumulantTable:
+    def test_one_recursion_per_order(self, monkeypatch):
+        from thetagauss import distribution
+        from multiindex_helpers import all_indices
+
+        calls = []
+        original = distribution.moments_to_cumulants
+
+        def counting(moments, g):
+            calls.append(g)
+            return original(moments, g)
+
+        monkeypatch.setattr(distribution, "moments_to_cumulants", counting)
+        u, B = np.array([0.1, -0.05, 0.2]), np.eye(3) * 0.9
+        d = DiscreteGaussian(u, B)
+        fourth = [a for a in all_indices(3, 4) if sum(a) == 4]
+        values = [d.cumulant(a) for a in fourth]
+        assert len(calls) == 1
+        assert values == [DiscreteGaussian(u, B).cumulant(a) for a in fourth]
+
+    def test_lower_order_after_higher_matches_fresh(self):
+        u, B = np.array([0.2, -0.1]), np.array([[1.0, 0.2], [0.2, 0.8]])
+        d = DiscreteGaussian(u, B)
+        d.cumulant((1, 1))
+        d.cumulant((2, 2))  # refreshes the derivative table at order 4
+        fresh = DiscreteGaussian(u, B)
+        fresh.cumulant((2, 2))
+        assert d.cumulant((1, 1)) == fresh.cumulant((1, 1))
+
+    def test_array_tables_are_left_unchanged(self, rng):
+        points = [random_complex_params(rng, 2) for _ in range(3)]
+        B = points[0][1]
+        tables = [DiscreteGaussian(u, B)._moment_table(3) for u, _ in points]
+        stacked = {a: np.array([t[a] for t in tables]) for a in tables[0]}
+        before = {a: v.copy() for a, v in stacked.items()}
+        kappa = tg.moments_to_cumulants(stacked, 2)
+        for a in stacked:
+            assert np.array_equal(stacked[a], before[a])
+        for j, t in enumerate(tables):
+            scalar = tg.moments_to_cumulants(t, 2)
+            for a, v in scalar.items():
+                assert kappa[a][j] == pytest.approx(v, rel=1e-13, abs=1e-15)
+
+
+def test_overflowing_parameters_raise_typed_error():
+    # mean at Mahalanobis distance ~52: the summands exceed double range
+    sigma = np.array([[1.0, 0.3], [0.3, 1.0]])
+    B = np.linalg.inv(sigma) / TWO_PI
+    with pytest.raises(tg.errors.ToleranceUnreachable):
+        DiscreteGaussian(B @ np.array([38.0, -19.0]), B)
+    with pytest.raises(tg.errors.ToleranceUnreachable):
+        DiscreteGaussian([25.0], [[1.0]])

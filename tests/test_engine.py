@@ -240,3 +240,90 @@ def test_thread_safety_smoke():
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: theta(p, 1e-12), range(32)))
     assert all(r == expected for r in results)
+
+
+# -- stacked evaluation -------------------------------------------------------
+
+B_STACK = np.array([[1.2 + 0.3j, 0.25 - 0.2j], [0.25 - 0.2j, 0.9 + 0.1j]])
+STACK_INDICES = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def stack_rows(rng, k, re_max=3.0):
+    """k arguments with ||Re u|| spread over [0, re_max] and Im u in [0, 1)^2."""
+    angle = rng.uniform(0.0, 2.0 * np.pi, k)
+    rho = re_max * np.sqrt(rng.uniform(0.0, 1.0, k))
+    re = np.stack([rho * np.cos(angle), rho * np.sin(angle)], axis=1)
+    return re + 1j * rng.uniform(0.0, 1.0, (k, 2))
+
+
+class TestThetaDuStack:
+    @pytest.mark.parametrize("k", [1, 127, 128, 129, 300])
+    def test_rows_match_per_point(self, rng, k):
+        eps = 1e-10
+        U = stack_rows(rng, k)
+        stack = tg.engine.theta_du_stack(STACK_INDICES, U, B_STACK, eps)
+        assert stack.shape == (k, len(STACK_INDICES))
+        for row, u in zip(stack, U):
+            table = theta_du_many(STACK_INDICES, ThetaPoint(u, B_STACK), eps)
+            ref = np.array([table[a] for a in STACK_INDICES])
+            # both are certified to eps; |theta| grows like exp(pi rho^2 / lmin),
+            # so rounding is bounded relative to the row's largest value
+            assert np.all(np.abs(row - ref) <= 2 * eps + 1e-12 * np.max(np.abs(ref)))
+
+    def test_each_row_within_its_block_radius(self, rng, monkeypatch):
+        eps = 1e-12
+        U = stack_rows(rng, 300)
+        used = []
+        original = tg.engine.truncation_radius
+
+        def recording(B, u, a=None, eps=1e-12):
+            budget = original(B, u, a, eps)
+            used.append(budget.radius)
+            return budget
+
+        monkeypatch.setattr(tg.engine, "truncation_radius", recording)
+        tg.engine.theta_du_stack(STACK_INDICES, U, B_STACK, eps)
+        monkeypatch.undo()
+
+        block = tg.engine.STACK_BLOCK
+        assert len(used) == -(-len(U) // block)  # one certificate per block
+        order = np.argsort(np.linalg.norm(U.real, axis=1), kind="stable")
+        for b, radius in enumerate(used):
+            for r in order[b * block : (b + 1) * block]:
+                own = truncation_radius(B_STACK, U[r], (2, 0), eps).radius
+                assert own <= radius
+
+    def test_large_real_part_rows_match_brute_force(self, rng):
+        from oracles import brute_moment
+
+        B = np.array([[1.1, 0.2 + 0.1j], [0.2 + 0.1j, 1.3 - 0.2j]])
+        far = np.array([[2.5 + 0.3j, -2.0 + 0.1j], [-3.0 + 0.7j, 1.5 - 0.4j]])
+        U = np.vstack([stack_rows(rng, 200, re_max=0.5), far])
+        stack = tg.engine.theta_du_stack([(0, 0), (1, 0), (1, 1)], U, B, 1e-12)
+        for row, u in zip(stack[-2:], far):
+            t = brute_theta(u, B, K=14)
+            assert abs(row[0] - t) <= 1e-12 * abs(t)
+            for j, a in ((1, (1, 0)), (2, (1, 1))):
+                ref = TWO_PI ** sum(a) * brute_moment(u, B, a, K=14) * t
+                assert abs(row[j] - ref) <= 1e-11 * abs(ref)
+
+    def test_k1_is_theta_du_many(self):
+        p = ThetaPoint([0.3 + 0.2j, -0.4 + 0.1j], B_STACK)
+        table = theta_du_many(STACK_INDICES, p, 1e-12)
+        stack = tg.engine.theta_du_stack(STACK_INDICES, p.u[None, :], p.B, 1e-12)
+        assert [table[a] for a in STACK_INDICES] == list(stack[0])
+
+    def test_rejects_misshaped_arguments(self):
+        with pytest.raises(ValueError):
+            tg.engine.theta_du_stack([(0, 0)], np.zeros(2), B_STACK)
+        with pytest.raises(ValueError):
+            tg.engine.theta_du_stack([(0, 0)], np.zeros((3, 1)), B_STACK)
+
+    def test_overflow_raises_typed_error(self):
+        sigma = np.array([[1.0, 0.3], [0.3, 1.0]])
+        B = np.linalg.inv(sigma) / TWO_PI
+        u = B @ np.array([38.0, -19.0])
+        with pytest.raises(ToleranceUnreachable):
+            tg.engine.theta_du_stack([(0, 0)], u[None, :], B)
+        with pytest.raises(ToleranceUnreachable):
+            theta(ThetaPoint(u, B))

@@ -358,3 +358,36 @@ class TestProbe:
             assert shifted.central_moment(a) == pytest.approx(
                 d.central_moment(a), abs=1e-9
             )
+
+
+class TestThetaZeroPinned:
+    """Zeros found on the lines of TestFindThetaZero, as computed before the
+    scan became one stacked evaluation."""
+
+    G1 = {0.8: -0.3999999999999999 - 0.5j, 1.0: -0.5 - 0.5j, 1.6: 0.8000000000000003 - 0.5j}
+    # the first three lines divisor_point_g2 draws from the rng fixture: the
+    # base point (0, w) with direction (1, 0), and the zero found on it
+    G2 = [
+        (-0.1867640386589664 + 0.19971810354969088j, -0.5027827920587857 - 1.4722708561967641j),
+        (0.1481356022136049 + 0.43227561592880737j, -0.6085587100194773 + 1.6023146586391757j),
+        (-0.3172897149323527 + 0.2795952327025033j, -0.5005438127677141 - 1.451803332589629j),
+    ]
+
+    def test_g1_lines(self):
+        for B, want in self.G1.items():
+            u = find_theta_zero((np.zeros(1), np.ones(1)), [[B]])
+            assert abs(u[0] - want) < 1e-12
+
+    def test_g2_lines(self):
+        for k, (w, want) in enumerate(self.G2):
+            u = find_theta_zero((np.array([0.0, w]), np.array([1.0, 0.0])), B_KUMMER)
+            assert u[1] == w
+            if k == 1:
+                # theta(u + i e1) = theta(u), and this line's window holds four
+                # grid points one period apart whose |theta| agree to rounding;
+                # which of them rounding puts first is arbitrary, so the zero
+                # is pinned up to the period i e1
+                shift = u[0] - want
+                assert abs(shift - 1j * round(shift.imag)) < 1e-12
+            else:
+                assert abs(u[0] - want) < 1e-12

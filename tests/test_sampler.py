@@ -132,3 +132,21 @@ class TestExactness:
             freq = float(np.mean(sample == k))
             band = 5 * np.sqrt(pk * (1 - pk) / n)
             assert abs(freq - pk) < band
+
+
+class TestOverflow:
+    # Sigma = [[1, .3], [.3, 1]], mu = (38, -19): the weights exceed double range
+    SIGMA = np.array([[1.0, 0.3], [0.3, 1.0]])
+
+    def point(self):
+        B = np.linalg.inv(self.SIGMA) / TWO_PI
+        return CanonicalPoint(B @ np.array([38.0, -19.0]), B)
+
+    def test_draw_raises(self):
+        with pytest.raises(tg.errors.ToleranceUnreachable):
+            draw(self.point(), 100, SamplerConfig(seed=3))
+
+    def test_chi_square_raises(self):
+        sample = np.tile([38, -19], (100, 1))
+        with pytest.raises(tg.errors.ToleranceUnreachable):
+            chi_square(sample, self.point())
