@@ -1,6 +1,9 @@
 """The command-line interface, run in-process through cli.main."""
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,3 +113,146 @@ class TestNumericalFailure:
         code, text = run(tmp_path, ["moments", "--params", params])
         assert code == 0
         assert len(strict_loads(text)["result"]["mean"]) == 1
+
+
+# -- golden documents -----------------------------------------------------------
+#
+# Every command on small fixed inputs, and the error paths, with the exit code
+# and standard output recorded in tests/golden/cli.json.  Documents must agree
+# in exit code, key order and every string, int and bool.  Floats agree to
+# rel 1e-12 of the largest number under the same key (a vector or matrix
+# field is compared as a whole), so that entries that are zero up to rounding
+# may differ by rounding under a different BLAS; the residuals of the fits are
+# rounding-level figures and are compared at 1e-12 absolute.  Rewrite the
+# recorded documents from the current code with
+# `PYTHONPATH=src python tests/test_cli.py`.
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "cli.json"
+PARAMS = "<params>"  # replaced by the path of the case's params file
+
+U_G2 = [[0.1, 0.2], [-0.3, 0.05]]
+B_G2 = [[[1.0, 0.1], [0.2, -0.3]], [[0.2, -0.3], [0.9, 0.2]]]
+U_REAL_G2 = [[0.2, 0.0], [-0.1, 0.0]]
+B_REAL_G2 = [[[1.0, 0.0], [0.3, 0.0]], [[0.3, 0.0], [0.8, 0.0]]]
+B_KUMMER_PAIRS = [[[0.9, 0.1], [0.15, 0.3]], [[0.15, 0.3], [1.1, -0.2]]]
+
+GOLDEN_CASES = {
+    "theta": (["theta", "--params", PARAMS], {"g": 2, "u": U_G2, "B": B_G2}),
+    "pmf": (["pmf", "--params", PARAMS], {"g": 2, "u": U_G2, "B": B_G2, "n": [1, -1]}),
+    "moments": (["moments", "--params", PARAMS, "--tol", "1e-12"], {"g": 2, "u": U_G2, "B": B_G2}),
+    "entropy": (["entropy", "--params", PARAMS], {"g": 2, "u": U_REAL_G2, "B": B_REAL_G2}),
+    "fit": (["fit", "--mu", "[0.3, -0.2]", "--sigma", "[[1.0, 0.2], [0.2, 0.8]]"], None),
+    "fit_data": (["fit", "--params", PARAMS], {"data": [[0], [1], [2], [1], [0], [-1], [1], [3]]}),
+    "sample": (
+        ["sample", "--params", PARAMS, "--count", "8", "--seed", "3"],
+        {"g": 2, "u": U_REAL_G2, "B": B_REAL_G2},
+    ),
+    "verify": (["verify"], None),
+    "map": (["map", "--params", PARAMS], {"g": 2, "u": U_G2, "B": B_G2}),
+    "map_g1_d3": (["map", "--params", PARAMS, "--d", "3"], {"g": 1, "u": [[0.2, 0.1]], "B": [[[1.0, 0.2]]]}),
+    "cubic": (["cubic", "--params", PARAMS], {"g": 1, "u": [[0.1, 0.3]], "B": [[[1.0, 0.2]]]}),
+    "kummer": (
+        ["kummer", "--params", PARAMS, "--count", "40", "--seed", "2"],
+        {"g": 2, "B": B_KUMMER_PAIRS},
+    ),
+    "probe": (["probe", "--params", PARAMS, "--trials", "3", "--seed", "1"], {"g": 1, "B": [[[1.0, 0.0]]]}),
+    # error paths
+    "unknown_command": (["frobnicate"], None),
+    "missing_params": (["theta"], None),
+    "unknown_params_key": (["theta", "--params", PARAMS], {"g": 1, "B": [[[1.0, 0.0]]], "x": 1}),
+    "nonsymmetric_B": (
+        ["theta", "--params", PARAMS],
+        {"g": 2, "B": [[[1.0, 0.0], [0.1, 0.0]], [[0.2, 0.0], [1.0, 0.0]]]},
+    ),
+    "non_pd_B": (["theta", "--params", PARAMS], {"g": 1, "B": [[[-1.0, 0.0]]]}),
+    "cubic_g2": (["cubic", "--params", PARAMS], {"g": 2, "B": B_G2}),
+    "kummer_g1": (["kummer", "--params", PARAMS], {"g": 1, "B": [[[1.0, 0.0]]]}),
+    "fit_non_pd_sigma": (["fit", "--mu", "[0.0, 0.0]", "--sigma", "[[1.0, 2.0], [2.0, 1.0]]"], None),
+    "moments_overflow": (["moments", "--params", PARAMS], {"g": 1, "u": [[25.0, 0.0]], "B": [[[1.0, 0.0]]]}),
+}
+
+# keys whose string values carry rounding-level figures (verify's details)
+GOLDEN_FREE_STRINGS = {"detail"}
+# keys whose values are zero up to rounding
+GOLDEN_ROUNDING_LEVEL = {"residual", "grad_norm"}
+
+
+def run_golden(name, tmp_dir):
+    """Exit code and standard output of one golden case."""
+    argv, params = GOLDEN_CASES[name]
+    if params is not None:
+        path = Path(tmp_dir) / f"{name}.json"
+        path.write_text(json.dumps(params), encoding="utf-8")
+        argv = [str(path) if a == PARAMS else a for a in argv]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _largest(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return max((_largest(x) for x in doc), default=0.0)
+    return abs(doc) if _is_number(doc) else 0.0
+
+
+def document_mismatches(got, want, scale=0.0, path="$"):
+    """Where the parsed document `got` differs from `want` (see above);
+    `scale` is the largest number under the enclosing key."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or list(got) != list(want):
+            return [f"{path}: keys {list(got) if isinstance(got, dict) else got!r} != {list(want)}"]
+        out = []
+        for k in want:
+            if k in GOLDEN_FREE_STRINGS and isinstance(want[k], str):
+                if not isinstance(got[k], str):
+                    out.append(f"{path}.{k}: {got[k]!r} is not a string")
+                continue
+            scale = 1.0 if k in GOLDEN_ROUNDING_LEVEL else _largest(want[k])
+            out += document_mismatches(got[k], want[k], scale, f"{path}.{k}")
+        return out
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [f"{path}: {got!r} != {want!r}"]
+        return [
+            m for i, (x, y) in enumerate(zip(got, want))
+            for m in document_mismatches(x, y, scale, f"{path}[{i}]")
+        ]
+    if _is_number(got) and _is_number(want) and float in (type(got), type(want)):
+        same = abs(got - want) <= 1e-12 * max(abs(want), scale)
+    else:
+        same = type(got) is type(want) and got == want
+    return [] if same else [f"{path}: {got!r} != {want!r}"]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_document(name, golden, tmp_path):
+    code, text = run_golden(name, tmp_path)
+    want = golden[name]
+    assert code == want["exit"]
+    assert text.endswith("\n") and text.count("\n") == 1
+    mismatches = document_mismatches(strict_loads(text), strict_loads(want["stdout"]))
+    assert not mismatches, "\n".join(mismatches[:20])
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        recorded = {}
+        for case in GOLDEN_CASES:
+            exit_code, stdout = run_golden(case, tmp)
+            recorded[case] = {"exit": exit_code, "stdout": stdout}
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
