@@ -4,17 +4,25 @@ Every run writes a single JSON document
 
     {command, inputs_echo, result, diagnostics: {eps, radius, iterations}}
 
-to --output or standard output.  Exit codes: 0 success, 2 input error,
-3 numerical failure; errors are reported as {error, field, message}.
-Complex numbers are always [re, im] pairs, matrices row-major, and all
-floats are printed at 17 significant digits so the document is
-byte-deterministic and round-trips doubles exactly.
+to --output or standard output.  Exit codes: 0 success, 2 input error (a
+bad flag or params file, errors.InvalidParameters, ValueError), 3 numerical
+failure (errors.NumericalFailure); errors are reported as
+{error, field, message}.  Complex numbers are always [re, im] pairs,
+matrices row-major, and all floats are printed at 17 significant digits so
+the document is byte-deterministic and round-trips doubles exactly.  A
+result holding inf or nan is a numerical failure, never bare JSON.
+
+The commands are one table, COMMANDS = {name: (run, allowed params keys)}.
+run(cfg) returns (result, inputs_echo, diagnostics); a command whose keys
+include "B" requires --params.  theta, pmf, moments, entropy and map
+evaluate at one point (u, B) and share its prologue, _at_point.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -29,21 +37,7 @@ from .engine import (
     truncation_radius,
 )
 from .distribution import DiscreteGaussian
-from .errors import (
-    DegenerateSample,
-    DivisorHit,
-    IndeterminatePoint,
-    NoConvergence,
-    NonPositiveDefinite,
-    NotPD,
-    NotUnimodular,
-    NoZeroFound,
-    RankDeficientInput,
-    SingularDivisorPoint,
-    ThetaGaussError,
-    ToleranceUnreachable,
-    TooFewSamples,
-)
+from .errors import InvalidParameters, NumericalFailure
 from .fitting import CanonicalPoint, MomentData, fit, fit_from_sample
 from .geometry import (
     ProjectivePoint,
@@ -54,39 +48,11 @@ from .geometry import (
     statistical_map_stack,
     verify_cubic,
 )
-from .multiindex import moment_map_indices
+from .multiindex import moment_map_indices, unit
 from .sampler import RNG_ALGORITHM, SamplerConfig, draw, support_radius
 
-COMMANDS = (
-    "theta",
-    "pmf",
-    "moments",
-    "entropy",
-    "fit",
-    "sample",
-    "verify",
-    "map",
-    "cubic",
-    "kummer",
-    "probe",
-)
 
-_NUMERICAL_ERRORS = (
-    DivisorHit,
-    NoConvergence,
-    ToleranceUnreachable,
-    NoZeroFound,
-    SingularDivisorPoint,
-    IndeterminatePoint,
-    TooFewSamples,
-    DegenerateSample,
-    RankDeficientInput,
-)
-
-_INPUT_ERRORS = (NonPositiveDefinite, NotPD, NotUnimodular)
-
-
-class InputError(Exception):
+class InputError(InvalidParameters):
     def __init__(self, field_name: str, message: str):
         super().__init__(message)
         self.field = field_name
@@ -122,6 +88,8 @@ def _dump(obj, out: list):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise NumericalFailure(f"the result holds {float(obj)}, which JSON cannot encode")
         out.append(format(float(obj), ".17g"))
     elif isinstance(obj, dict):
         out.append("{")
@@ -144,7 +112,10 @@ def _dump(obj, out: list):
 
 
 def dumps(obj) -> str:
-    """JSON text with floats at 17 significant digits, insertion-ordered."""
+    """JSON text with floats at 17 significant digits, insertion-ordered.
+
+    Raises NumericalFailure on a float that is not finite.
+    """
     out: list[str] = []
     _dump(obj, out)
     return "".join(out)
@@ -196,21 +167,6 @@ def _parse_B(value, g: int) -> np.ndarray:
     return B
 
 
-_ALLOWED_KEYS = {
-    "theta": {"g", "u", "B"},
-    "pmf": {"g", "u", "B", "n"},
-    "moments": {"g", "u", "B"},
-    "entropy": {"g", "u", "B"},
-    "map": {"g", "u", "B"},
-    "cubic": {"g", "u", "B"},
-    "kummer": {"g", "B"},
-    "probe": {"g", "B"},
-    "sample": {"g", "u", "B"},
-    "fit": {"mu", "sigma", "data"},
-    "verify": set(),
-}
-
-
 def _load_params_file(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -221,7 +177,7 @@ def _load_params_file(path: str, command: str) -> dict:
         raise InputError("params_file", f"invalid JSON: {exc}")
     if not isinstance(raw, dict):
         raise InputError("params_file", "parameter file must hold a JSON object")
-    allowed = _ALLOWED_KEYS[command]
+    allowed = COMMANDS[command][1]
     unknown = set(raw) - allowed
     if unknown:
         raise InputError(
@@ -306,9 +262,8 @@ def parse_config(argv) -> JobConfig:
             cfg.sigma = cfg.params["sigma"]
         if ("mu" in cfg.params) != ("sigma" in cfg.params) and "data" not in cfg.params:
             raise InputError("sigma", "fit needs both mu and sigma (or data)")
-    elif cfg.command in ("theta", "pmf", "moments", "entropy", "map", "cubic", "sample", "kummer", "probe"):
-        if not cfg.params:
-            raise InputError("params_file", f"{cfg.command} requires --params")
+    if "B" in COMMANDS[cfg.command][1] and not cfg.params:
+        raise InputError("params_file", f"{cfg.command} requires --params")
     return cfg
 
 
@@ -319,59 +274,58 @@ def _diag(eps=None, radius=None, iterations=None) -> dict:
     return {"eps": eps, "radius": radius, "iterations": iterations}
 
 
-def _run_theta(cfg: JobConfig):
-    u, B = _require_theta_params(cfg)
-    eps = max(EPS_FLOOR, cfg.tol)
+def _at_point(body):
+    """Wrap the body of a command evaluated at one point (u, B).
+
+    The prologue parses u and B from the params file and sets eps from
+    --tol; body(cfg, u, B, eps) returns (result, the command's own echoed
+    inputs, diagnostics), and the echo is g, u, B, those inputs, then tol.
+    """
+
+    def run(cfg: JobConfig):
+        u, B = _require_theta_params(cfg)
+        result, inputs, diagnostics = body(cfg, u, B, max(EPS_FLOOR, cfg.tol))
+        echo = {"g": len(B), "u": _pairs_vector(u), "B": _pairs_matrix(B), **inputs, "tol": cfg.tol}
+        return result, echo, diagnostics
+
+    return run
+
+
+@_at_point
+def _run_theta(cfg: JobConfig, u, B, eps):
     p = ThetaPoint(u, B)
     budget = truncation_radius(p.B, p.u, None, eps)
-    value = theta(p, eps)
-    echo = {"g": p.g, "u": _pairs_vector(u), "B": _pairs_matrix(B), "tol": cfg.tol}
-    return {"theta": _pair(value)}, echo, _diag(eps=eps, radius=budget.radius)
+    return {"theta": _pair(theta(p, eps))}, {}, _diag(eps=eps, radius=budget.radius)
 
 
-def _run_pmf(cfg: JobConfig):
-    u, B = _require_theta_params(cfg)
+@_at_point
+def _run_pmf(cfg: JobConfig, u, B, eps):
     if "n" not in cfg.params:
         raise InputError("n", "pmf requires the lattice point n")
     n = cfg.params["n"]
     if not isinstance(n, list) or not all(isinstance(x, int) for x in n):
         raise InputError("n", "n must be a list of integers")
-    eps = max(EPS_FLOOR, cfg.tol)
     d = DiscreteGaussian(u, B, eps)
     budget = truncation_radius(d.point.B, d.point.u, None, eps)
-    value = d.pmf(n)
-    echo = {
-        "g": d.g,
-        "u": _pairs_vector(u),
-        "B": _pairs_matrix(B),
-        "n": [int(x) for x in n],
-        "tol": cfg.tol,
-    }
-    return {"pmf": _pair(value)}, echo, _diag(eps=eps, radius=budget.radius)
+    result = {"pmf": _pair(d.pmf(n))}
+    return result, {"n": [int(x) for x in n]}, _diag(eps=eps, radius=budget.radius)
 
 
-def _run_moments(cfg: JobConfig):
-    u, B = _require_theta_params(cfg)
-    eps = max(EPS_FLOOR, cfg.tol)
+@_at_point
+def _run_moments(cfg: JobConfig, u, B, eps):
     d = DiscreteGaussian(u, B, eps)
-    a = [0] * d.g
-    a[0] = 2
-    budget = truncation_radius(d.point.B, d.point.u, tuple(a), eps)
+    budget = truncation_radius(d.point.B, d.point.u, unit(d.g, 0, 0), eps)
     mean, cov = d.mean_cov()
-    echo = {"g": d.g, "u": _pairs_vector(u), "B": _pairs_matrix(B), "tol": cfg.tol}
     result = {"mean": _pairs_vector(mean), "covariance": _pairs_matrix(cov)}
-    return result, echo, _diag(eps=eps, radius=budget.radius)
+    return result, {}, _diag(eps=eps, radius=budget.radius)
 
 
-def _run_entropy(cfg: JobConfig):
-    u, B = _require_theta_params(cfg)
-    eps = max(EPS_FLOOR, cfg.tol)
+@_at_point
+def _run_entropy(cfg: JobConfig, u, B, eps):
     d = DiscreteGaussian(u, B, eps)
     budget = truncation_radius(d.point.B, d.point.u, None, eps)
-    value = d.entropy()
-    echo = {"g": d.g, "u": _pairs_vector(u), "B": _pairs_matrix(B), "tol": cfg.tol}
-    result = {"entropy": _pair(value), "branch": "principal"}
-    return result, echo, _diag(eps=eps, radius=budget.radius)
+    result = {"entropy": _pair(d.entropy()), "branch": "principal"}
+    return result, {}, _diag(eps=eps, radius=budget.radius)
 
 
 def _run_fit(cfg: JobConfig):
@@ -428,40 +382,32 @@ def _run_sample(cfg: JobConfig):
 
 def _run_verify(cfg: JobConfig):
     checks = verify_checks.run_all(seed=cfg.seed)
-    all_passed = all(c["passed"] for c in checks)
-    result = {"checks": checks, "all_passed": all_passed}
-    if not all_passed:
-        raise _VerifyFailed(result)
-    return result, {"seed": cfg.seed}, _diag()
+    result = {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
+    echo = {"seed": cfg.seed}
+    if not result["all_passed"]:
+        raise _VerifyFailed(_report(cfg.command, result, echo, _diag()))
+    return result, echo, _diag()
 
 
-class _VerifyFailed(ThetaGaussError):
-    def __init__(self, result):
+class _VerifyFailed(NumericalFailure):
+    """A verify check failed: exit 3, with the whole verify document."""
+
+    def __init__(self, text: str):
         super().__init__("one or more verify checks failed")
-        self.result = result
+        self.text = text
 
 
-def _run_map(cfg: JobConfig):
-    u, B = _require_theta_params(cfg)
+@_at_point
+def _run_map(cfg: JobConfig, u, B, eps):
     if cfg.d < 2:
         raise InputError("d", "map degree must be at least 2")
-    eps = max(EPS_FLOOR, cfg.tol)
-    point = ThetaPoint(u, B)
-    pt = statistical_map(cfg.d, point, eps)
-    labels = moment_map_indices(point.g, cfg.d)
-    echo = {
-        "g": point.g,
-        "u": _pairs_vector(u),
-        "B": _pairs_matrix(B),
-        "d": cfg.d,
-        "tol": cfg.tol,
-    }
+    pt = statistical_map(cfg.d, ThetaPoint(u, B), eps)
     result = {
         "degree": cfg.d,
-        "indices": [list(a) for a in labels],
+        "indices": [list(a) for a in moment_map_indices(len(B), cfg.d)],
         "coordinates": _pairs_vector(pt.coords),
     }
-    return result, echo, _diag(eps=eps)
+    return result, {"d": cfg.d}, _diag(eps=eps)
 
 
 def _run_cubic(cfg: JobConfig):
@@ -531,18 +477,20 @@ def _run_probe(cfg: JobConfig):
     return result, echo, _diag(eps=1e-12)
 
 
-_HANDLERS = {
-    "theta": _run_theta,
-    "pmf": _run_pmf,
-    "moments": _run_moments,
-    "entropy": _run_entropy,
-    "fit": _run_fit,
-    "sample": _run_sample,
-    "verify": _run_verify,
-    "map": _run_map,
-    "cubic": _run_cubic,
-    "kummer": _run_kummer,
-    "probe": _run_probe,
+_POINT_KEYS = {"g", "u", "B"}
+
+COMMANDS = {
+    "theta": (_run_theta, _POINT_KEYS),
+    "pmf": (_run_pmf, _POINT_KEYS | {"n"}),
+    "moments": (_run_moments, _POINT_KEYS),
+    "entropy": (_run_entropy, _POINT_KEYS),
+    "fit": (_run_fit, {"mu", "sigma", "data"}),
+    "sample": (_run_sample, _POINT_KEYS),
+    "verify": (_run_verify, set()),
+    "map": (_run_map, _POINT_KEYS),
+    "cubic": (_run_cubic, _POINT_KEYS),
+    "kummer": (_run_kummer, {"g", "B"}),
+    "probe": (_run_probe, {"g", "B"}),
 }
 
 
@@ -554,44 +502,29 @@ def _write(cfg_output, text: str):
         sys.stdout.write(text + "\n")
 
 
+def _report(command: str, result, echo, diagnostics) -> str:
+    return dumps(
+        {"command": command, "inputs_echo": echo, "result": result, "diagnostics": diagnostics}
+    )
+
+
+def _error(exc: Exception) -> str:
+    name = "InputError" if isinstance(exc, ValueError) else type(exc).__name__
+    return dumps({"error": name, "field": getattr(exc, "field", None), "message": str(exc)})
+
+
 def execute(cfg: JobConfig) -> int:
     """Run the configured job and write its JSON document; returns the exit
     code (0 success, 2 input error, 3 numerical failure)."""
+    run, _ = COMMANDS[cfg.command]
     try:
-        result, echo, diagnostics = _HANDLERS[cfg.command](cfg)
-    except InputError as exc:
-        doc = {"error": "InputError", "field": exc.field, "message": str(exc)}
-        _write(cfg.output, dumps(doc))
-        return 2
-    except _INPUT_ERRORS as exc:
-        doc = {"error": type(exc).__name__, "field": None, "message": str(exc)}
-        _write(cfg.output, dumps(doc))
-        return 2
-    except ValueError as exc:
-        doc = {"error": "InputError", "field": None, "message": str(exc)}
-        _write(cfg.output, dumps(doc))
-        return 2
-    except _VerifyFailed as exc:
-        doc = {
-            "command": cfg.command,
-            "inputs_echo": {"seed": cfg.seed},
-            "result": exc.result,
-            "diagnostics": _diag(),
-        }
-        _write(cfg.output, dumps(doc))
-        return 3
-    except _NUMERICAL_ERRORS as exc:
-        doc = {"error": type(exc).__name__, "field": None, "message": str(exc)}
-        _write(cfg.output, dumps(doc))
-        return 3
-    doc = {
-        "command": cfg.command,
-        "inputs_echo": echo,
-        "result": result,
-        "diagnostics": diagnostics,
-    }
-    _write(cfg.output, dumps(doc))
-    return 0
+        text, code = _report(cfg.command, *run(cfg)), 0
+    except (InvalidParameters, ValueError) as exc:
+        text, code = _error(exc), 2
+    except NumericalFailure as exc:
+        text, code = exc.text if isinstance(exc, _VerifyFailed) else _error(exc), 3
+    _write(cfg.output, text)
+    return code
 
 
 def main(argv=None) -> int:
@@ -599,9 +532,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
     except InputError as exc:
-        sys.stdout.write(
-            dumps({"error": "InputError", "field": exc.field, "message": str(exc)}) + "\n"
-        )
+        sys.stdout.write(_error(exc) + "\n")
         return 2
     return execute(cfg)
 

@@ -9,21 +9,23 @@ which is a genuine positive density for real parameters and a complex-valued
 distribution otherwise.  Expectations of complex-valued distributions are
 plain lattice sums weighted by the complex pmf; no positivity is assumed.
 
-Moments come from theta derivatives (mu_a = (2*pi)^-|a| D^a_u theta / theta),
-cumulants from the exact multivariate moment-cumulant recursion, central
-moments from the binomial expansion in first partials.  All operations are
-pure; instances are immutable apart from an internal derivative memo.
+Moments come from theta derivatives (mu_a = (2*pi)^-|a| D^a_u theta / theta,
+in :func:`moment_table`, the one place that conversion is made), covariances
+of monomials from raw moments (:func:`moment_covariance`), cumulants from the
+exact multivariate moment-cumulant recursion, central moments from the
+binomial expansion over raw moments.  All operations are pure; instances are
+immutable apart from an internal moment memo.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
-from .engine import TWO_PI, ThetaPoint, as_siegel, theta, theta_du_many
+from .engine import TWO_PI, ThetaPoint, theta, theta_du_many
 from .errors import DivisorHit, NotUnimodular
 from .multiindex import (
     MultiIndex,
@@ -31,6 +33,7 @@ from .multiindex import (
     indices_up_to,
     mi_binomial,
     sub_indices,
+    unit,
 )
 
 SAME_DISTRIBUTION_TOL = 1e-10
@@ -89,6 +92,37 @@ def moments_to_cumulants(moments: dict, g: int) -> dict:
     return kappa
 
 
+def moment_table(derivs: dict, theta=None) -> dict:
+    """Raw moments mu_a = (2*pi)^-|a| D^a_u theta / theta for every entry of
+    a table {a: D^a_u theta} of theta derivatives.
+
+    `theta` is the normalizer; by default the table's own a = 0 entry.
+    Table values (and `theta`) may be scalars or equal-shape arrays, one
+    entry per point of a stack.
+    """
+    if theta is None:
+        theta = derivs[(0,) * len(next(iter(derivs)))]
+    return {a: v / theta / TWO_PI ** sum(a) for a, v in derivs.items()}
+
+
+def moment_covariance(mus: dict, indices) -> np.ndarray:
+    """Covariance matrix of the monomials X^a, a in `indices`:
+
+        C[p, q] = mu_{a_p + a_q} - mu_{a_p} mu_{a_q}
+
+    from a raw moment table holding every sum a_p + a_q.  With the unit
+    indices e_i this is the covariance of X; with the monomials of the
+    sufficient statistic it is the Hessian of log theta up to weights.
+    The matrix is exactly symmetric.
+    """
+    return np.array(
+        [
+            [mus[tuple(map(operator.add, a, b))] - mus[a] * mus[b] for b in indices]
+            for a in indices
+        ]
+    )
+
+
 class DiscreteGaussian:
     """A discrete Gaussian on Z^g with cached normalizer theta(u, B).
 
@@ -97,7 +131,7 @@ class DiscreteGaussian:
     divisor are invalid parameters.
     """
 
-    __slots__ = ("point", "theta_value", "eps", "_derivs", "_derivs_order", "_cumulants")
+    __slots__ = ("point", "theta_value", "eps", "_moments", "_moments_order", "_cumulants")
 
     def __init__(self, u, B, eps: float = 1e-12):
         point = u if isinstance(u, ThetaPoint) and B is None else None
@@ -112,8 +146,8 @@ class DiscreteGaussian:
         self.point = point
         self.theta_value = value
         self.eps = eps
-        self._derivs = {}
-        self._derivs_order = -1
+        self._moments = {}
+        self._moments_order = -1
         self._cumulants = {}
 
     @classmethod
@@ -137,22 +171,16 @@ class DiscreteGaussian:
 
     # -- internal -------------------------------------------------------
 
-    def _deriv_table(self, order: int) -> dict:
-        # memo of D^a_u theta for |a| <= order; a benign race only recomputes
-        if order > self._derivs_order:
-            table = theta_du_many(indices_up_to(self.g, order), self.point, self.eps)
-            self._derivs = table
-            self._derivs_order = order
-            self._cumulants = {}  # cumulant tables came from the old derivatives
-        return self._derivs
-
     def _moment_table(self, order: int) -> dict:
-        t = self._deriv_table(order)
-        return {
-            a: v / self.theta_value / TWO_PI ** sum(a)
-            for a, v in t.items()
-            if sum(a) <= order
-        }
+        # memo of mu_a for |a| <= order; a benign race only recomputes.
+        # Normalized by the stored theta_value: the derivative table's a = 0
+        # entry matches it only to rounding.
+        if order > self._moments_order:
+            derivs = theta_du_many(indices_up_to(self.g, order), self.point, self.eps)
+            self._moments = moment_table(derivs, self.theta_value)
+            self._moments_order = order
+            self._cumulants = {}  # cumulant tables came from the old moments
+        return {a: v for a, v in self._moments.items() if sum(a) <= order}
 
     # -- pointwise ------------------------------------------------------
 
@@ -178,28 +206,22 @@ class DiscreteGaussian:
         return self._moment_table(sum(a))[a]
 
     def central_moment(self, a) -> complex:
-        """Central moment m_a = E[(X-mu)^a], by the binomial expansion
+        """Central moment m_a = E[(X-mu)^a], by the binomial expansion over
+        raw moments
 
-            m_a = (2*pi)^-|a| (1/theta) sum_{0<=b<=a} C(a,b) (-1)^|b|
-                  theta^-|b| (D_u theta)^b D^{a-b}_u theta
+            m_a = sum_{0<=b<=a} C(a,b) (-mu)^b mu_{a-b}
 
-        with (D_u theta)^b the product of powered first partials.
+        with (-mu)^b the product of powered negated means.
         """
         a = exponents(a, self.g)
-        table = self._deriv_table(max(sum(a), 1))  # the expansion uses first partials
-        firsts = [table[tuple(int(i == k) for k in range(self.g))] for i in range(self.g)]
-        acc = 0.0 + 0.0j
-        for b in sub_indices(a):
-            db = math.prod(f ** bi for f, bi in zip(firsts, b))
-            rest = tuple(a[k] - b[k] for k in range(self.g))
-            acc += (
-                mi_binomial(a, b)
-                * (-1.0) ** sum(b)
-                * self.theta_value ** (-sum(b))
-                * db
-                * table[rest]
-            )
-        return acc / self.theta_value / TWO_PI ** sum(a)
+        mus = self._moment_table(max(sum(a), 1))  # the expansion uses the mean
+        neg_mean = [-mus[unit(self.g, i)] for i in range(self.g)]
+        return sum(
+            mi_binomial(a, b)
+            * math.prod(m**bi for m, bi in zip(neg_mean, b))
+            * mus[tuple(map(operator.sub, a, b))]
+            for b in sub_indices(a)
+        )
 
     def cumulant(self, a) -> complex:
         """Cumulant kappa_a = (2*pi)^-|a| D^a_u log theta, via the exact
@@ -226,18 +248,9 @@ class DiscreteGaussian:
     def mean_cov(self):
         """Mean vector and covariance matrix (complex in general; real SPD
         on the real parameter slice)."""
-        table = self._moment_table(2)
-        mean = np.array(
-            [table[tuple(int(i == k) for k in range(self.g))] for i in range(self.g)]
-        )
-        cov = np.empty((self.g, self.g), dtype=complex)
-        for i in range(self.g):
-            for j in range(i, self.g):
-                a = [0] * self.g
-                a[i] += 1
-                a[j] += 1
-                cov[i, j] = cov[j, i] = table[tuple(a)] - mean[i] * mean[j]
-        return mean, cov
+        mus = self._moment_table(2)
+        units = [unit(self.g, i) for i in range(self.g)]
+        return np.array([mus[a] for a in units]), moment_covariance(mus, units)
 
     def entropy(self) -> complex:
         """H = log theta - 2*pi <u, mu> + pi <B, Sigma + mu mu^T>, with the

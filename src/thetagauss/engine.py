@@ -53,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonPositiveDefinite, ToleranceUnreachable
-from .multiindex import exponents, indices_up_to
+from .multiindex import exponents, indices_up_to, unit
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,15 +136,10 @@ class ThetaPoint:
 
 @dataclass(frozen=True)
 class TruncationBudget:
-    """Certified Euclidean cutoff: the tail beyond ||n|| <= radius is < eps.
-
-    shell_count is the number of sup-norm shells inside the cutoff
-    (diagnostic only).
-    """
+    """Certified Euclidean cutoff: the tail beyond ||n|| <= radius is < eps."""
 
     eps: float
     radius: float
-    shell_count: int
 
 
 def _max_radius() -> float:
@@ -252,7 +247,7 @@ def truncation_radius(B, u, a=None, eps: float = 1e-12) -> TruncationBudget:
         raise ToleranceUnreachable(
             f"radius {R} for eps={eps:.3e} exceeds the cap {cap:.0f}"
         )
-    return TruncationBudget(eps=eps, radius=float(R), shell_count=int(R) + 1)
+    return TruncationBudget(eps=eps, radius=float(R))
 
 
 @lru_cache(maxsize=128)
@@ -419,9 +414,7 @@ def theta_dB(i: int, j: int, p: ThetaPoint, eps: float = 1e-12) -> complex:
     """
     if not (0 <= i <= j < p.g):
         raise ValueError("need 0 <= i <= j < g")
-    a = [0] * p.g
-    a[i] += 1
-    a[j] += 1
+    a = unit(p.g, i, j)
     if i == j:
         return -theta_du(a, p, eps) / (4.0 * math.pi)
     return -theta_du(a, p, eps) / TWO_PI

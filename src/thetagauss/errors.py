@@ -1,8 +1,12 @@
 """Exception types raised across the library.
 
-Input-shaped problems (bad matrices, bad flags) raise the validation
-errors; data-dependent numerical failures raise the computation errors.
-The CLI maps the former to exit code 2 and the latter to exit code 3.
+Every error derives from ThetaGaussError through one of two bases, which
+the CLI maps to its exit codes:
+
+* InvalidParameters (exit 2): the input is invalid (a matrix that is not
+  positive definite, not symmetric, not unimodular).
+* NumericalFailure (exit 3): valid input on which the computation fails
+  (a tolerance that cannot be certified, a divisor hit, no convergence).
 """
 
 
@@ -10,57 +14,65 @@ class ThetaGaussError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidParameters(ThetaGaussError):
+    """The input is invalid; the CLI exits with code 2."""
+
+
+class NumericalFailure(ThetaGaussError):
+    """The computation failed on valid input; the CLI exits with code 3."""
+
+
 # -- validation errors -------------------------------------------------------
 
-class NonPositiveDefinite(ThetaGaussError):
+class NonPositiveDefinite(InvalidParameters):
     """Re(B) is not positive definite (or is numerically degenerate)."""
 
 
-class NotPD(ThetaGaussError):
+class NotPD(InvalidParameters):
     """A covariance target is not symmetric positive definite."""
 
 
-class NotUnimodular(ThetaGaussError):
+class NotUnimodular(InvalidParameters):
     """An integer matrix does not have determinant +-1."""
 
 
 # -- numerical failures ------------------------------------------------------
 
-class ToleranceUnreachable(ThetaGaussError):
+class ToleranceUnreachable(NumericalFailure):
     """The requested truncation certificate cannot be issued: either the
     radius would exceed the configured hard cap or the tolerance is below
     the double-precision floor."""
 
 
-class DivisorHit(ThetaGaussError):
+class DivisorHit(NumericalFailure):
     """theta(u, B) vanishes (within tolerance), so the distribution with
     these parameters is undefined."""
 
 
-class NoConvergence(ThetaGaussError):
+class NoConvergence(NumericalFailure):
     """Newton iteration did not meet the convergence criterion."""
 
 
-class DegenerateSample(ThetaGaussError):
+class DegenerateSample(NumericalFailure):
     """Sample covariance is singular; the MLE does not exist."""
 
 
-class TooFewSamples(ThetaGaussError):
+class TooFewSamples(NumericalFailure):
     """No chi-square cell reaches the minimum expected count."""
 
 
-class NoZeroFound(ThetaGaussError):
+class NoZeroFound(NumericalFailure):
     """No zero of theta was located inside the search window."""
 
 
-class SingularDivisorPoint(ThetaGaussError):
+class SingularDivisorPoint(NumericalFailure):
     """All first partials of theta vanish at a divisor point, so the Gauss
     map (and the statistical maps) are undefined there."""
 
 
-class IndeterminatePoint(ThetaGaussError):
+class IndeterminatePoint(NumericalFailure):
     """All coordinates of a projective image vanish."""
 
 
-class RankDeficientInput(ThetaGaussError):
+class RankDeficientInput(NumericalFailure):
     """Too few (or too degenerate) points to determine a vanishing form."""

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import TWO_PI, ThetaPoint, theta_du_many
+from .distribution import moment_covariance, moment_table
+from .engine import TWO_PI, ThetaPoint, theta_du_stack
 from .errors import DegenerateSample, NoConvergence, NotPD
-from .multiindex import indices_up_to
+from .multiindex import indices_up_to, unit
 
 EPS_FLOOR = 1e-14
 MAX_ITERATIONS = 200
@@ -97,30 +98,16 @@ class FitReport:
 
 def _real_moments(p: ThetaPoint, order: int, eps: float) -> tuple[float, dict]:
     """theta and the raw moment table mu_a (real slice) up to `order`."""
-    table = theta_du_many(indices_up_to(p.g, order), p, eps)
-    t = table[(0,) * p.g].real
-    mus = {a: v.real / t / TWO_PI ** sum(a) for a, v in table.items()}
-    return t, mus
+    idx = indices_up_to(p.g, order)
+    derivs = dict(zip(idx, theta_du_stack(idx, p.u[None, :], p.B, eps)[0].real))
+    return derivs[idx[0]], moment_table(derivs)
 
 
 def forward_moments(p: CanonicalPoint, eps: float = 1e-12) -> MomentData:
     """Mean and covariance of the discrete Gaussian at real parameters."""
-    tp = p.to_theta_point()
-    _, mus = _real_moments(tp, 2, eps)
-    g = p.g
-    mu = np.array([mus[_unit(g, i)] for i in range(g)])
-    cov = np.empty((g, g))
-    for i in range(g):
-        for j in range(i, g):
-            cov[i, j] = cov[j, i] = mus[_unit(g, i, j)] - mu[i] * mu[j]
-    return MomentData(mu, 0.5 * (cov + cov.T))
-
-
-def _unit(g: int, *idx: int) -> tuple:
-    a = [0] * g
-    for i in idx:
-        a[i] += 1
-    return tuple(a)
+    _, mus = _real_moments(p.to_theta_point(), 2, eps)
+    units = [unit(p.g, i) for i in range(p.g)]
+    return MomentData(np.array([mus[a] for a in units]), moment_covariance(mus, units))
 
 
 def _triu_pairs(g: int) -> list[tuple[int, int]]:
@@ -145,17 +132,14 @@ def _objective(t_log: float, u, B, mu_t, S_t) -> float:
 
 def _grad_resid(mus: dict, g: int, pairs, mu_t, S_t):
     """Gradient of F in packed coordinates and the (mu, Sigma) residual."""
-    mu = np.array([mus[_unit(g, i)] for i in range(g)])
-    m2 = np.empty((g, g))
-    for i in range(g):
-        for j in range(i, g):
-            m2[i, j] = m2[j, i] = mus[_unit(g, i, j)]
+    units = [unit(g, i) for i in range(g)]
+    mu = np.array([mus[a] for a in units])
     grad = np.empty(g + len(pairs))
     grad[:g] = TWO_PI * (mu - mu_t)
     for k, (i, j) in enumerate(pairs):
         scale = math.pi if i == j else TWO_PI
-        grad[g + k] = scale * (S_t[i, j] - m2[i, j])
-    sigma = m2 - np.outer(mu, mu)
+        grad[g + k] = scale * (S_t[i, j] - mus[unit(g, i, j)])
+    sigma = moment_covariance(mus, units)
     resid = max(
         float(np.max(np.abs(mu - mu_t))),
         float(np.max(np.abs(sigma - (S_t - np.outer(mu_t, mu_t))))),
@@ -164,25 +148,16 @@ def _grad_resid(mus: dict, g: int, pairs, mu_t, S_t):
 
 
 def _hessian(mus: dict, g: int, pairs) -> np.ndarray:
-    """Covariance of the sufficient statistic in packed coordinates.
+    """Covariance of the sufficient statistic in packed coordinates,
+    W Cov(monomials) W.
 
     Component (u, i) has weight 2*pi and exponent e_i; component (B, ij)
     has weight -pi (diagonal) or -2*pi (off-diagonal, symmetric pair) and
     exponent e_i + e_j.  Entries need raw moments up to order four.
     """
-    comps = [(TWO_PI, _unit(g, i)) for i in range(g)]
-    comps += [
-        ((-math.pi if i == j else -TWO_PI), _unit(g, i, j)) for i, j in pairs
-    ]
-    d = len(comps)
-    H = np.empty((d, d))
-    for p in range(d):
-        cp, ap = comps[p]
-        for q in range(p, d):
-            cq, aq = comps[q]
-            joint = tuple(x + y for x, y in zip(ap, aq))
-            H[p, q] = H[q, p] = cp * cq * (mus[joint] - mus[ap] * mus[aq])
-    return H
+    weights = np.array([TWO_PI] * g + [-math.pi if i == j else -TWO_PI for i, j in pairs])
+    monomials = [unit(g, i) for i in range(g)] + [unit(g, i, j) for i, j in pairs]
+    return np.outer(weights, weights) * moment_covariance(mus, monomials)
 
 
 def _is_pd(B: np.ndarray) -> bool:

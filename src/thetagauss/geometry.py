@@ -28,7 +28,7 @@ from math import pi
 
 import numpy as np
 
-from .distribution import moments_to_cumulants
+from .distribution import DiscreteGaussian, moment_table, moments_to_cumulants
 from .engine import TWO_PI, ThetaPoint, as_siegel, theta, theta_du_many, theta_du_stack
 from .errors import (
     DivisorHit,
@@ -37,7 +37,7 @@ from .errors import (
     RankDeficientInput,
     SingularDivisorPoint,
 )
-from .multiindex import indices_up_to, moment_map_indices
+from .multiindex import indices_up_to, moment_map_indices, unit
 
 DIVISOR_TOL = 1e-8
 PROJECTIVE_TOL = 1e-8
@@ -114,13 +114,12 @@ def statistical_map_stack(d: int, U, B, eps: float = 1e-12) -> np.ndarray:
     off = np.abs(t) >= DIVISOR_TOL
     if off.any():
         to = t[off]
-        mus = {a: v[off] / to / TWO_PI ** sum(a) for a, v in table.items()}
-        kappa = moments_to_cumulants(mus, g)
+        kappa = moments_to_cumulants(moment_table({a: v[off] for a, v in table.items()}), g)
         for j, a in enumerate(labels):
             coords[off, j] = to**d if sum(a) == 0 else to**d * kappa[a]
     on = ~off
     if on.any():
-        firsts = [table[tuple(int(i == k) for k in range(g))][on] for i in range(g)]
+        firsts = [table[unit(g, i)][on] for i in range(g)]
         for j, a in enumerate(labels):
             if sum(a) == d:
                 coords[on, j] = np.prod([f**ai for f, ai in zip(firsts, a)], axis=0)
@@ -137,8 +136,7 @@ def log_derivatives(p: ThetaPoint, max_order: int, eps: float = 1e-12) -> dict:
     t = table[(0,) * p.g]
     if abs(t) <= 10.0 * eps:
         raise DivisorHit("log-derivatives undefined on the theta divisor")
-    mus = {a: v / t / TWO_PI ** sum(a) for a, v in table.items()}
-    kappa = moments_to_cumulants(mus, p.g)
+    kappa = moments_to_cumulants(moment_table(table), p.g)
     return {a: TWO_PI ** sum(a) * v for a, v in kappa.items()}
 
 
@@ -257,7 +255,7 @@ def find_theta_zero(
     # the five grid points of smallest |theta|, smallest first
     cands = [complex(t) for t in ts[np.argsort(np.abs(scan[:, 0]), kind="stable")[:5]]]
 
-    grad_idx = [tuple(int(i == k) for k in range(B.g)) for i in range(B.g)]
+    grad_idx = [unit(B.g, i) for i in range(B.g)]
     span = max(re_hi - re_lo, im_hi - im_lo)
     margin = 2.0 * span / max(grid - 1, 1)
 
@@ -294,7 +292,7 @@ def gauss_map(u, B, eps: float = 1e-12) -> ProjectivePoint:
     """
     B = as_siegel(B)
     point = ThetaPoint(u, B)
-    grad_idx = [tuple(int(i == k) for k in range(B.g)) for i in range(B.g)]
+    grad_idx = [unit(B.g, i) for i in range(B.g)]
     table = theta_du_many([(0,) * B.g] + grad_idx, point, eps)
     if abs(table[(0,) * B.g]) >= DIVISOR_TOL:
         raise ValueError("the Gauss map is defined on the theta divisor only")
@@ -390,16 +388,16 @@ def identifiability_probe(
     differing by a period lattice vector (the same point of the abelian
     variety).  For each surviving pair the sup-norm distance between the
     moment vectors (mu_a for 1 <= |a| <= 3) is recorded; a collision is a
-    distance at or below `separation`.
+    distance at or below `separation`.  Needs trials >= 1.
     """
+    if trials < 1:
+        raise ValueError("the probe needs at least one trial")
     B = as_siegel(B)
     if B.g not in (1, 2):
         raise ValueError("the probe is implemented for g in {1, 2}")
     g = B.g
     rng = np.random.Generator(np.random.Philox(seed))
     idx3 = [a for a in indices_up_to(g, 3) if sum(a) >= 1]
-
-    from .distribution import DiscreteGaussian
 
     def sample_point():
         while True:
@@ -418,9 +416,8 @@ def identifiability_probe(
         return bool(np.max(np.abs(m - np.round(m))) < 1e-6)
 
     def moment_vector(u):
-        table = theta_du_many(indices_up_to(g, 3), ThetaPoint(u, B), 1e-12)
-        t = table[(0,) * g]
-        return np.array([table[a] / t / TWO_PI ** sum(a) for a in idx3])
+        mus = moment_table(theta_du_many(indices_up_to(g, 3), ThetaPoint(u, B), 1e-12))
+        return np.array([mus[a] for a in idx3])
 
     collisions = 0
     min_sep = float("inf")

@@ -73,6 +73,16 @@ def mi_binomial(a: Sequence[int], b: Sequence[int]) -> int:
     return out
 
 
+def unit(g: int, *idx: int) -> tuple[int, ...]:
+    """The multi-index e_i + e_j + ... of length g, one count for each listed
+    coordinate: unit(3, 1) = (0, 1, 0), unit(2, 0, 0) = (2, 0), and unit(g)
+    is the zero index."""
+    a = [0] * g
+    for i in idx:
+        a[i] += 1
+    return tuple(a)
+
+
 def sub_indices(a: Sequence[int]) -> list[tuple[int, ...]]:
     """All b with 0 <= b <= a componentwise, in lexicographic order."""
     return list(itertools.product(*[range(x + 1) for x in a]))

@@ -8,9 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thetagauss import cli
+from thetagauss import cli, errors, verify
 from thetagauss.engine import ThetaPoint, theta
-from thetagauss.geometry import ProjectivePoint, kummer_quartic_fit, statistical_map
+from thetagauss.geometry import (
+    ProjectivePoint,
+    identifiability_probe,
+    kummer_quartic_fit,
+    statistical_map,
+)
 
 # |Im B12| >= 0.2 keeps the surface from splitting into a product of curves
 B_KUMMER = np.array([[0.9 + 0.1j, 0.15 + 0.3j], [0.15 + 0.3j, 1.1 - 0.2j]])
@@ -115,6 +120,50 @@ class TestNumericalFailure:
         assert len(strict_loads(text)["result"]["mean"]) == 1
 
 
+class TestNonFinite:
+    def test_dumps_refuses_non_finite_floats(self):
+        for x in (float("inf"), float("-inf"), float("nan"), np.float64("nan")):
+            with pytest.raises(errors.NumericalFailure):
+                cli.dumps({"value": [x]})
+
+    def test_non_finite_result_is_numerical_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "theta", lambda p, eps: complex(float("inf"), 0.0))
+        params = write_params(tmp_path / "p.json", [[1.0]])
+        code, text = run(tmp_path, ["theta", "--params", params])
+        assert code == 3
+        assert strict_loads(text)["error"] == "NumericalFailure"
+
+    def test_probe_without_trials_is_input_error(self, tmp_path):
+        params = write_params(tmp_path / "p.json", [[1.0]])
+        code, text = run(tmp_path, ["probe", "--params", params, "--trials", "0"])
+        assert code == 2
+        assert strict_loads(text)["error"] == "InputError"
+        with pytest.raises(ValueError):
+            identifiability_probe(np.eye(1), trials=0)
+
+
+class TestVerify:
+    def test_all_checks_pass(self, tmp_path):
+        code, text = run(tmp_path, ["verify"])
+        assert code == 0
+        result = strict_loads(text)["result"]
+        assert len(result["checks"]) == len(verify.ALL_CHECKS) == 15
+        assert result["all_passed"] is True
+        assert all(c["passed"] is True for c in result["checks"])
+
+    def test_failed_check_exits_3_with_the_document(self, tmp_path, monkeypatch):
+        failing = ("forced.failure", lambda rng: (False, "forced"))
+        monkeypatch.setattr(verify, "ALL_CHECKS", [failing] + verify.ALL_CHECKS[1:])
+        code, text = run(tmp_path, ["verify"])
+        assert code == 3
+        doc = strict_loads(text)
+        assert doc["command"] == "verify"
+        assert doc["result"]["all_passed"] is False
+        assert doc["result"]["checks"][0] == {
+            "name": "forced.failure", "passed": False, "detail": "forced"
+        }
+
+
 # -- golden documents -----------------------------------------------------------
 #
 # Every command on small fixed inputs, and the error paths, with the exit code
@@ -149,13 +198,19 @@ GOLDEN_CASES = {
     ),
     "verify": (["verify"], None),
     "map": (["map", "--params", PARAMS], {"g": 2, "u": U_G2, "B": B_G2}),
-    "map_g1_d3": (["map", "--params", PARAMS, "--d", "3"], {"g": 1, "u": [[0.2, 0.1]], "B": [[[1.0, 0.2]]]}),
+    "map_g1_d3": (
+        ["map", "--params", PARAMS, "--d", "3"],
+        {"g": 1, "u": [[0.2, 0.1]], "B": [[[1.0, 0.2]]]},
+    ),
     "cubic": (["cubic", "--params", PARAMS], {"g": 1, "u": [[0.1, 0.3]], "B": [[[1.0, 0.2]]]}),
     "kummer": (
         ["kummer", "--params", PARAMS, "--count", "40", "--seed", "2"],
         {"g": 2, "B": B_KUMMER_PAIRS},
     ),
-    "probe": (["probe", "--params", PARAMS, "--trials", "3", "--seed", "1"], {"g": 1, "B": [[[1.0, 0.0]]]}),
+    "probe": (
+        ["probe", "--params", PARAMS, "--trials", "3", "--seed", "1"],
+        {"g": 1, "B": [[[1.0, 0.0]]]},
+    ),
     # error paths
     "unknown_command": (["frobnicate"], None),
     "missing_params": (["theta"], None),
@@ -167,8 +222,14 @@ GOLDEN_CASES = {
     "non_pd_B": (["theta", "--params", PARAMS], {"g": 1, "B": [[[-1.0, 0.0]]]}),
     "cubic_g2": (["cubic", "--params", PARAMS], {"g": 2, "B": B_G2}),
     "kummer_g1": (["kummer", "--params", PARAMS], {"g": 1, "B": [[[1.0, 0.0]]]}),
-    "fit_non_pd_sigma": (["fit", "--mu", "[0.0, 0.0]", "--sigma", "[[1.0, 2.0], [2.0, 1.0]]"], None),
-    "moments_overflow": (["moments", "--params", PARAMS], {"g": 1, "u": [[25.0, 0.0]], "B": [[[1.0, 0.0]]]}),
+    "fit_non_pd_sigma": (
+        ["fit", "--mu", "[0.0, 0.0]", "--sigma", "[[1.0, 2.0], [2.0, 1.0]]"],
+        None,
+    ),
+    "moments_overflow": (
+        ["moments", "--params", PARAMS],
+        {"g": 1, "u": [[25.0, 0.0]], "B": [[[1.0, 0.0]]]},
+    ),
 }
 
 # keys whose string values carry rounding-level figures (verify's details)
@@ -207,7 +268,8 @@ def document_mismatches(got, want, scale=0.0, path="$"):
     `scale` is the largest number under the enclosing key."""
     if isinstance(want, dict):
         if not isinstance(got, dict) or list(got) != list(want):
-            return [f"{path}: keys {list(got) if isinstance(got, dict) else got!r} != {list(want)}"]
+            keys = list(got) if isinstance(got, dict) else got
+            return [f"{path}: keys {keys!r} != {list(want)}"]
         out = []
         for k in want:
             if k in GOLDEN_FREE_STRINGS and isinstance(want[k], str):

@@ -3,6 +3,7 @@ import pytest
 
 import thetagauss as tg
 from thetagauss import DiscreteGaussian, MomentKey, MultiIndex, SplitSpec
+from thetagauss.distribution import moment_covariance, moment_table
 from thetagauss.engine import TWO_PI, lattice_points, truncation_radius
 from thetagauss.errors import DivisorHit, NotUnimodular
 
@@ -13,8 +14,10 @@ from oracles import (
     brute_marginal,
     brute_moment,
     brute_theta,
+    cube,
     random_complex_params,
     random_real_params,
+    weight,
 )
 
 THETA_0_1 = 1.0864348112133082
@@ -467,6 +470,30 @@ class TestCumulantTable:
             scalar = tg.moments_to_cumulants(t, 2)
             for a, v in scalar.items():
                 assert kappa[a][j] == pytest.approx(v, rel=1e-13, abs=1e-15)
+
+
+class TestMomentLayer:
+    def test_stacked_table_matches_each_point(self, rng):
+        _, B = random_complex_params(rng, 2)
+        U = np.array([random_complex_params(rng, 2)[0] for _ in range(4)])
+        idx = tg.multiindex.indices_up_to(2, 3)
+        derivs = tg.theta_du_stack(idx, U, B)
+        stacked = moment_table(dict(zip(idx, derivs.T)))
+        for r in range(len(U)):
+            scalar = moment_table(dict(zip(idx, derivs[r])))
+            assert all(stacked[a][r] == scalar[a] for a in idx)
+
+    def test_covariance_of_monomials_against_brute_force(self, rng):
+        u, B = random_real_params(rng, 2)
+        monomials = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        C = moment_covariance(DiscreteGaussian(u, B)._moment_table(4), monomials)
+        pts = np.array(cube(2, 12), dtype=float)
+        p = np.array([weight(n, u, B) for n in pts])
+        p /= p.sum()
+        X = np.array([[np.prod(n**a) for a in monomials] for n in pts])
+        Xc = X - p @ X
+        assert np.allclose(C, (Xc * p[:, None]).T @ Xc, rtol=0, atol=1e-10)
+        assert np.array_equal(C, C.T)
 
 
 def test_overflowing_parameters_raise_typed_error():

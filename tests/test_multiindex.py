@@ -8,6 +8,7 @@ from thetagauss.multiindex import (
     mi_binomial,
     moment_map_indices,
     sub_indices,
+    unit,
 )
 
 
@@ -54,3 +55,10 @@ def test_moment_map_indices_skip_order_one():
     assert labels == [(0, 0), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
     # coordinate count matches C(g+d, d) - g - 1 plus the constant
     assert len(labels) == 10 - 2 - 1 + 1
+
+
+def test_unit_counts_each_listed_coordinate():
+    assert unit(3, 1) == (0, 1, 0)
+    assert unit(2, 0, 0) == (2, 0)
+    assert unit(2, 1, 0) == unit(2, 0, 1) == (1, 1)
+    assert unit(2) == (0, 0)
