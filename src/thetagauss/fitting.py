@@ -100,7 +100,7 @@ def _real_moments(p: ThetaPoint, order: int, eps: float) -> tuple[float, dict]:
     """theta and the raw moment table mu_a (real slice) up to `order`."""
     idx = indices_up_to(p.g, order)
     derivs = dict(zip(idx, theta_du_stack(idx, p.u[None, :], p.B, eps)[0].real))
-    return derivs[idx[0]], moment_table(derivs)
+    return derivs[(0,) * p.g], moment_table(derivs)
 
 
 def forward_moments(p: CanonicalPoint, eps: float = 1e-12) -> MomentData:
