@@ -527,12 +527,22 @@ def execute(cfg: JobConfig) -> int:
     return code
 
 
+def _output_path(argv) -> str | None:
+    """The --output of argv when it can be read, whatever else is wrong."""
+    parser = _Parser(add_help=False)
+    parser.add_argument("--output")
+    try:
+        return parser.parse_known_args(argv)[0].output
+    except InputError:
+        return None
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = parse_config(argv)
     except InputError as exc:
-        sys.stdout.write(_error(exc) + "\n")
+        _write(_output_path(argv), _error(exc))
         return 2
     return execute(cfg)
 

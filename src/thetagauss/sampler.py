@@ -11,7 +11,6 @@ always produce the identical sample.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,22 +37,27 @@ class SamplerConfig:
 def support_radius(p: CanonicalPoint, tail_eps: float) -> float:
     """Radius R with total pmf mass beyond ||n|| <= R below tail_eps,
     obtained from the engine tail bound divided by theta."""
+    return _theta_and_radius(p, tail_eps)[1]
+
+
+def _theta_and_radius(p: CanonicalPoint, tail_eps: float) -> tuple[float, float]:
     tp = p.to_theta_point()
     t = theta(tp, 1e-12).real
     budget = truncation_radius(tp.B, tp.u, None, tail_eps * t)
-    return budget.radius
+    return t, budget.radius
 
 
 def _support_weights(p: CanonicalPoint, tail_eps: float):
-    tp = p.to_theta_point()
-    radius = support_radius(p, tail_eps)
+    """Support points in shell order, their unnormalised weights, and the
+    theta that normalised the tail bound."""
+    t, radius = _theta_and_radius(p, tail_eps)
     pts = lattice_points(p.g, radius)
     quad = np.einsum("pi,ij,pj->p", pts, p.B, pts)
     with np.errstate(over="ignore"):
         weights = np.exp(TWO_PI * (-0.5 * quad + pts @ p.u))
     if not np.isfinite(weights).all():
         raise ToleranceUnreachable("sampler weights overflow double precision")
-    return pts, weights
+    return pts, weights, t
 
 
 def draw(p: CanonicalPoint, count: int, cfg: SamplerConfig) -> np.ndarray:
@@ -64,7 +68,7 @@ def draw(p: CanonicalPoint, count: int, cfg: SamplerConfig) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    pts, weights = _support_weights(p, cfg.tail_eps)
+    pts, weights, _ = _support_weights(p, cfg.tail_eps)
     cdf = np.cumsum(weights)
     total = cdf[-1]
     rng = np.random.Generator(np.random.Philox(cfg.seed))
@@ -82,6 +86,14 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
     into one cell, which is merged into the smallest kept cell when its own
     expectation is below 5.  Returns (statistic, dof) with dof = cells - 1.
 
+    Rows are counted through a cell index: a table over the bounding box of
+    the kept cells maps each box cell to its position among the kept cells
+    (shell order) or to -1, and every row outside that box or on a -1 entry
+    falls in the pooled cell.  The table never exceeds the kept cells'
+    bounding box, which lies inside the box [-R, R]^g of the support ball,
+    whatever the range of the sample.  Float rows are truncated to integers
+    first.
+
     Raises TooFewSamples when no cell reaches the threshold.
     """
     sample = np.atleast_2d(np.asarray(sample))
@@ -91,9 +103,7 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
         sample = sample.reshape(-1, p.g)
     n_obs = sample.shape[0]
 
-    tp = p.to_theta_point()
-    t = theta(tp, 1e-12).real
-    pts, weights = _support_weights(p, 1e-9)
+    pts, weights, t = _support_weights(p, 1e-9)
     probs = weights / t
 
     expected = n_obs * probs
@@ -103,10 +113,17 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
             f"no cell reaches expected count {MIN_EXPECTED_CELL} at N={n_obs}"
         )
 
-    counts = Counter(map(tuple, sample.astype(np.int64)))
     kept_pts = pts[keep]
     kept_exp = expected[keep]
-    kept_obs = np.array([counts.get(tuple(pt), 0) for pt in kept_pts], dtype=float)
+    lo, hi = kept_pts.min(axis=0), kept_pts.max(axis=0)
+    shape = tuple(hi - lo + 1)
+    table = np.full(np.prod(shape), -1, dtype=np.intp)
+    table[np.ravel_multi_index(tuple((kept_pts - lo).T), shape)] = np.arange(len(kept_pts))
+    sample = sample.astype(np.int64, copy=False)
+    # compare before subtracting, so no far-away row can overflow
+    inside = np.all((sample >= lo) & (sample <= hi), axis=1)
+    cells = table[np.ravel_multi_index(tuple((sample[inside] - lo).T), shape)]
+    kept_obs = np.bincount(cells[cells >= 0], minlength=len(kept_pts)).astype(float)
 
     pooled_exp = n_obs - float(kept_exp.sum())
     pooled_obs = n_obs - float(kept_obs.sum())

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import engine, geometry, sampler
+from . import engine, geometry
 from .distribution import DiscreteGaussian, SplitSpec
-from .engine import SiegelMatrix, ThetaPoint, theta, theta_dB, theta_du
-from .fitting import CanonicalPoint, MomentData, fit, forward_moments
+from .engine import ThetaPoint, theta, theta_dB
+from .fitting import CanonicalPoint, fit, forward_moments
 from .sampler import SamplerConfig, draw
 
 TWO_PI = engine.TWO_PI

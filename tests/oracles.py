@@ -118,6 +118,40 @@ def brute_marginal(u, B, n1, K=14):
     return sum(weight((n1, n2), u, B) for n2 in range(-K, K + 1)) / t
 
 
+def brute_pmf(u, B, K=12):
+    """{cell: probability} over the cube, real parameters."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    t = brute_theta(u, B, K).real
+    return {n: weight(n, u, B).real / t for n in cube(len(u), K)}
+
+
+def brute_pearson(sample, u, B, min_expected=5.0, K=12):
+    """(Pearson statistic, dof) by the documented cell rule, from the cube
+    pmf and a plain dict of counts.  Cells with expected count >=
+    min_expected are kept; the rest of the lattice is one pooled cell,
+    merged into the smallest kept cell when its own expectation is below
+    min_expected.  Rows are truncated to integers toward zero."""
+    pmf = brute_pmf(u, B, K)
+    counts = {}
+    for row in sample:
+        key = tuple(int(x) for x in row)
+        counts[key] = counts.get(key, 0) + 1
+    n_obs = len(sample)
+    cells = [
+        [n_obs * p, float(counts.get(n, 0))] for n, p in pmf.items() if n_obs * p >= min_expected
+    ]
+    pooled_exp = n_obs - sum(e for e, _ in cells)
+    pooled_obs = n_obs - sum(o for _, o in cells)
+    if pooled_exp >= min_expected:
+        cells.append([pooled_exp, pooled_obs])
+    else:
+        smallest = min(cells, key=lambda c: c[0])
+        smallest[0] += pooled_exp
+        smallest[1] += pooled_obs
+    return sum((o - e) ** 2 / e for e, o in cells), len(cells) - 1
+
+
 def random_real_params(rng, g, diag=(0.6, 1.3), off=0.25, u_range=0.4):
     """Random real (u, B) with B diagonally dominant SPD."""
     A = rng.uniform(-off, off, (g, g))

@@ -164,6 +164,33 @@ class TestVerify:
         }
 
 
+class TestErrorOutput:
+    """An error found while reading the flags or the params file goes to
+    --output like any other document."""
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["theta"], "params_file"),
+            (["theta", "--params", "missing.json"], "params_file"),
+            (["theta", "--tol", "-1"], "tol"),
+            (["frobnicate"], "argv"),
+        ],
+    )
+    def test_written_to_output(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "o.json"
+        code = cli.main(argv + ["--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        doc = strict_loads(out.read_text(encoding="utf-8"))
+        assert doc["error"] == "InputError" and doc["field"] == field
+
+    def test_unreadable_output_flag_falls_back_to_stdout(self, capsys):
+        assert cli.main(["theta", "--output"]) == 2
+        doc = strict_loads(capsys.readouterr().out)
+        assert doc["error"] == "InputError" and doc["field"] == "argv"
+
+
 # -- golden documents -----------------------------------------------------------
 #
 # Every command on small fixed inputs, and the error paths, with the exit code

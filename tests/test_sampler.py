@@ -6,7 +6,10 @@ from thetagauss import CanonicalPoint, SamplerConfig
 from thetagauss.engine import TWO_PI, lattice_points, theta
 from thetagauss.errors import TooFewSamples
 from thetagauss.fitting import forward_moments
+from thetagauss import sampler
 from thetagauss.sampler import chi_square, draw, support_radius
+
+from oracles import brute_pearson, brute_pmf
 
 PMF_AT_0 = 0.9204419514388919  # 1 / theta(0,1)
 
@@ -150,3 +153,73 @@ class TestOverflow:
         sample = np.tile([38, -19], (100, 1))
         with pytest.raises(tg.errors.ToleranceUnreachable):
             chi_square(sample, self.point())
+
+
+class TestChiSquareOracle:
+    """chi_square against a brute-force Pearson statistic that takes the
+    pmf over a cube and counts rows with a plain dict."""
+
+    # (u, B) per dimension, mean near the origin so the cube holds the support
+    PARAMS = {
+        1: ([0.3], [[0.12]]),
+        2: ([0.2, -0.4], [[0.3, 0.05], [0.05, 0.25]]),
+        3: ([0.1, 0.0, -0.2], [[0.6, 0.1, 0.0], [0.1, 0.5, 0.05], [0.0, 0.05, 0.7]]),
+    }
+    K = {1: 14, 2: 12, 3: 8}
+
+    def check(self, sample, u, B, g):
+        stat, dof = chi_square(sample, CanonicalPoint(u, B))
+        want_stat, want_dof = brute_pearson(np.reshape(sample, (-1, g)), u, B, K=self.K[g])
+        assert dof == want_dof
+        assert stat == pytest.approx(want_stat, rel=1e-12)
+
+    def sample(self, g, count=5000, seed=3):
+        u, B = self.PARAMS[g]
+        return draw(CanonicalPoint(u, B), count, SamplerConfig(seed=seed)), u, B
+
+    def test_1d_sample(self):
+        x, u, B = self.sample(1)
+        self.check(x.ravel(), u, B, 1)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_off_support_and_negative_rows(self, g):
+        x, u, B = self.sample(g)
+        R = support_radius(CanonicalPoint(u, B), 1e-9)
+        rng = np.random.default_rng(g)
+        far = rng.integers(-30, 30, (40, g))
+        far[0] = -int(R) - 1  # just outside the support box, every coordinate negative
+        far[1, 0] = 10**6  # far outside: must not size any array
+        assert np.any(np.linalg.norm(far, axis=1) > R)
+        self.check(np.vstack([x, far]), u, B, g)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_float_sample(self, g):
+        x, u, B = self.sample(g)
+        # float rows, including fractions, are truncated toward zero
+        frac = x.astype(float) + np.where(np.arange(len(x)) % 2 == 0, 0.25, -0.5)[:, None]
+        self.check(frac, u, B, g)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_pooled_cell_merged_into_smallest(self, g):
+        # B = I: the shells beyond the neighbours of 0 carry almost no mass,
+        # so at this size the pooled expectation is below the threshold
+        u, B = [0.0] * g, np.eye(g)
+        n = {1: 2000, 2: 3200, 3: 3500}[g]
+        pmf = brute_pmf(u, B, K=self.K[g])
+        kept = [n * q for q in pmf.values() if n * q >= sampler.MIN_EXPECTED_CELL]
+        assert len(kept) >= 3
+        assert n - sum(kept) < sampler.MIN_EXPECTED_CELL
+        x = draw(CanonicalPoint(u, B), n, SamplerConfig(seed=g))
+        self.check(x, u, B, g)
+
+    def test_theta_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def counting_theta(*args, **kwargs):
+            calls.append(args)
+            return theta(*args, **kwargs)
+
+        x, u, B = self.sample(2, count=500)
+        monkeypatch.setattr(sampler, "theta", counting_theta)
+        chi_square(x, CanonicalPoint(u, B))
+        assert len(calls) == 1
