@@ -198,8 +198,9 @@ class TestErrorOutput:
 # in exit code, key order and every string, int and bool.  Floats agree to
 # rel 1e-12 of the largest number under the same key (a vector or matrix
 # field is compared as a whole), so that entries that are zero up to rounding
-# may differ by rounding under a different BLAS; the residuals of the fits are
-# rounding-level figures and are compared at 1e-12 absolute.  Rewrite the
+# may differ by rounding under a different BLAS; the residuals of the fits and
+# the cubic's residuals block are rounding-level figures and are compared at
+# 1e-12 absolute, every number under such a key alike.  Rewrite the
 # recorded documents from the current code with
 # `PYTHONPATH=src python tests/test_cli.py`.
 
@@ -262,7 +263,7 @@ GOLDEN_CASES = {
 # keys whose string values carry rounding-level figures (verify's details)
 GOLDEN_FREE_STRINGS = {"detail"}
 # keys whose values are zero up to rounding
-GOLDEN_ROUNDING_LEVEL = {"residual", "grad_norm"}
+GOLDEN_ROUNDING_LEVEL = {"residual", "grad_norm", "residuals"}
 
 
 def run_golden(name, tmp_dir):
@@ -290,9 +291,10 @@ def _largest(doc):
     return abs(doc) if _is_number(doc) else 0.0
 
 
-def document_mismatches(got, want, scale=0.0, path="$"):
+def document_mismatches(got, want, scale=0.0, path="$", rounding=False):
     """Where the parsed document `got` differs from `want` (see above);
-    `scale` is the largest number under the enclosing key."""
+    `scale` is the largest number under the enclosing key, and `rounding`
+    marks a subtree under a rounding-level key."""
     if isinstance(want, dict):
         if not isinstance(got, dict) or list(got) != list(want):
             keys = list(got) if isinstance(got, dict) else got
@@ -303,15 +305,16 @@ def document_mismatches(got, want, scale=0.0, path="$"):
                 if not isinstance(got[k], str):
                     out.append(f"{path}.{k}: {got[k]!r} is not a string")
                 continue
-            scale = 1.0 if k in GOLDEN_ROUNDING_LEVEL else _largest(want[k])
-            out += document_mismatches(got[k], want[k], scale, f"{path}.{k}")
+            inner = rounding or k in GOLDEN_ROUNDING_LEVEL
+            scale = 1.0 if inner else _largest(want[k])
+            out += document_mismatches(got[k], want[k], scale, f"{path}.{k}", inner)
         return out
     if isinstance(want, list):
         if not isinstance(got, list) or len(got) != len(want):
             return [f"{path}: {got!r} != {want!r}"]
         return [
             m for i, (x, y) in enumerate(zip(got, want))
-            for m in document_mismatches(x, y, scale, f"{path}[{i}]")
+            for m in document_mismatches(x, y, scale, f"{path}[{i}]", rounding)
         ]
     if _is_number(got) and _is_number(want) and float in (type(got), type(want)):
         same = abs(got - want) <= 1e-12 * max(abs(want), scale)
