@@ -34,11 +34,20 @@ rho, where the bound at R is no larger and so still below eps.  Repeated-B
 callers (the scan of find_theta_zero, the kummer job) thus pay one
 certificate per block, not one per argument.
 
-The summands are formed in real arithmetic: Re and Im of the exponent as
-sums over the g coordinates, then exp(Re) cos(Im) and exp(Re) sin(Im),
-contracted with the table of monomials n^a in one real matrix product per
-tile of lattice points.  A value that is not finite in double precision
-(the summands overflow) raises ToleranceUnreachable.
+Each summand is a magnitude times a unit-modulus phase.  The magnitude
+exp(2*pi*(n.Re u - 1/2 n^T Re B n)) is one exp per point and row.  The
+phase e(i*Im E) splits into a per-point factor exp(-i*pi n^T Im B n),
+shared by all rows, and one factor exp(2*pi*i n_i Im u_i) per coordinate,
+gathered at n_i from a table over j in [-K, K] (K the block radius) built
+once per row for the whole ball, so no sine or cosine is taken per point
+and row.  Rows whose tables would exceed TILE_ELEMENTS doubles are summed
+in several passes over the ball.  The complex terms, viewed as interleaved
+(re, im) pairs, are contracted with the table of monomials n^a in one real
+matrix product per tile of lattice points; each monomial row is its
+parent's row (a minus the last nonzero unit vector) times one coordinate,
+exact while the entries are integers below 2^53.  A value that is not
+finite in double precision (the summands overflow) raises
+ToleranceUnreachable.
 
 All functions are pure; cached lattice enumerations are immutable.
 """
@@ -290,37 +299,79 @@ def lattice_points(g: int, radius: float) -> np.ndarray:
     return _lattice_points_cached(int(g), r2)
 
 
-def _tile_sums(pts: np.ndarray, idx: list, B_planes: np.ndarray, U_planes: np.ndarray):
-    """Partial sums over the lattice points `pts` (float, N x g):
+@lru_cache(maxsize=64)
+def _monomial_plan(idx: tuple, g: int) -> tuple[tuple, tuple]:
+    """Rows of the monomial table n^a for the multi-indices idx.
 
-        sum_n n^a exp(2 pi Re E) cos(2 pi Im E),  sum_n n^a exp(2 pi Re E) sin(2 pi Im E)
-
-    with E = n.u - 1/2 n^T B n, for every multi-index a in idx (rows) and
-    every argument u (columns, the cos sums then the sin sums).  B_planes
-    holds Re B and Im B, U_planes[i] the real and imaginary parts of
-    coordinate i of the arguments (g x 2 x k); all arithmetic is real.
+    Row 0 is n^0 = 1; every other row is a pair (parent row, coordinate i),
+    its parent being a - e_i for the last nonzero coordinate i of a.
+    Ancestors that idx lacks get rows too, parents before children.
+    Returns the pairs and the row of each multi-index of idx.
     """
-    g = pts.shape[1]
-    # exponent as points x (re, im) x arguments, summed coordinate by coordinate
-    expo = -0.5 * np.einsum("cpi,pi->pc", pts @ B_planes, pts)[:, :, None]
-    for i in range(g):
-        expo = expo + pts[:, i, None, None] * U_planes[i]
-    expo *= TWO_PI
-    terms = np.empty_like(expo)
-    np.cos(expo[:, 1], out=terms[:, 0])
-    np.sin(expo[:, 1], out=terms[:, 1])
-    terms *= np.exp(expo[:, :1])
-    # monomial table n^a, one row per multi-index, by repeated multiplication
-    top = max((max(a) for a in idx), default=0)
-    powers = [np.ones_like(pts)]  # powers[e][:, i] = n_i^e
-    for _ in range(top):
-        powers.append(powers[-1] * pts)
-    mono = np.ones((len(idx), len(pts)))
-    for j, a in enumerate(idx):
-        for i, ai in enumerate(a):
-            if ai:
-                mono[j] *= powers[ai][:, i]
-    return mono @ terms.reshape(len(pts), -1)
+    rows = {(0,) * g: 0}
+    steps = []
+
+    def row(a):
+        if a not in rows:
+            i = max(j for j, aj in enumerate(a) if aj)
+            parent = row(a[:i] + (a[i] - 1,) + a[i + 1 :])
+            steps.append((parent, i))
+            rows[a] = len(steps)
+        return rows[a]
+
+    select = tuple(row(a) for a in idx)
+    return tuple(steps), select
+
+
+def _monomials(cols: np.ndarray, steps: tuple) -> np.ndarray:
+    """The monomial table of `steps` (see _monomial_plan) at the points
+    whose coordinates are the rows of `cols` (g x N): one multiply per row."""
+    mono = np.empty((len(steps) + 1, cols.shape[1]))
+    mono[0] = 1.0
+    for r, (parent, i) in enumerate(steps, start=1):
+        np.multiply(mono[parent], cols[i], out=mono[r])
+    return mono
+
+
+def _phase_tables(Y: np.ndarray, K: int) -> np.ndarray:
+    """exp(2*pi*i*j*y) at [c, j + K, r] for j in [-K, K] and y = Y[r, c]
+    (g x (2K+1) x k); the rows of -j are the exact conjugates of those of j."""
+    angle = (TWO_PI * np.arange(K + 1))[None, :, None] * Y.T[:, None, :]
+    tables = np.empty((Y.shape[1], 2 * K + 1, Y.shape[0]), dtype=complex)
+    np.cos(angle, out=tables.real[:, K:])
+    np.sin(angle, out=tables.imag[:, K:])
+    tables[:, :K] = tables[:, :K:-1].conj()
+    return tables
+
+
+def _ball_sums(pts: np.ndarray, K: int, V: np.ndarray, steps: tuple, B_planes: np.ndarray):
+    """sum_n n^a e(n.v - 1/2 n^T B n) over the lattice points `pts` (int,
+    N x g, every |n_i| <= K) for each row a of the monomial table `steps`
+    (rows of the result) and each argument v, a row of V (columns).
+
+    B_planes holds Re B and Im B.  Terms are formed and contracted in tiles
+    of at most TILE_ELEMENTS doubles; see the module docstring.
+    """
+    k, g = V.shape
+    re_V = np.ascontiguousarray(V.real.T)
+    tables = _phase_tables(V.imag, K)
+    step = max(1, TILE_ELEMENTS // (len(steps) + 1 + 2 * k))
+    sums = np.zeros((len(steps) + 1, 2 * k))
+    for lo in range(0, len(pts), step):
+        tile = pts[lo : lo + step]
+        x = tile.astype(float)
+        quad = np.einsum("cpi,pi->cp", x @ B_planes, x)
+        # magnitude exp(2 pi (n.Re v - 1/2 n^T Re B n)), points x arguments
+        mag = x @ re_V
+        mag -= 0.5 * quad[0, :, None]
+        mag *= TWO_PI
+        np.exp(mag, out=mag)
+        # times the phase exp(-i pi n^T Im B n) prod_i exp(2 pi i n_i Im v_i)
+        terms = np.exp(-1j * np.pi * quad[1])[:, None] * mag
+        for i in range(g):
+            terms *= tables[i, tile[:, i] + K]
+        sums += _monomials(x.T, steps) @ terms.view(float)
+    return sums.view(complex)
 
 
 def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
@@ -334,7 +385,8 @@ def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
     STACK_BLOCK rows, each block over one lattice ball certified at its
     largest ||Re u|| for the highest order in `indices` (see the module
     docstring for why that radius certifies every row of the block).  The
-    ball is summed in tiles of at most TILE_ELEMENTS array entries.
+    ball is summed in tiles of at most TILE_ELEMENTS array entries, and a
+    block whose phase tables would exceed that in several passes of rows.
 
     Raises ToleranceUnreachable when a value is not finite in double
     precision (the summands overflow) or a certificate cannot be issued.
@@ -346,26 +398,24 @@ def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
         raise ValueError(f"U must be a k x {g} array of arguments")
     idx = [exponents(a, g) for a in indices]
     worst = max(idx, key=sum) if idx else (0,) * g
+    steps, select = _monomial_plan(tuple(idx), g)
     scale = np.array([TWO_PI ** sum(a) for a in idx])[:, None]
     B_planes = np.array([B.entries.real, B.entries.imag])
     out = np.empty((len(U), len(idx)), dtype=complex)
     order = np.argsort(np.einsum("ri,ri->r", U.real, U.real), kind="stable")
     for start in range(0, len(U), STACK_BLOCK):
-        rows = order[start : start + STACK_BLOCK]
-        k = len(rows)
-        radius = truncation_radius(B, U[rows[-1]], worst, eps).radius
+        block = order[start : start + STACK_BLOCK]
+        radius = truncation_radius(B, U[block[-1]], worst, eps).radius
         pts = lattice_points(g, radius)
-        U_planes = np.empty((g, 2, k))
-        U_planes[:, 0] = U.real[rows].T
-        U_planes[:, 1] = U.imag[rows].T
-        # points per tile: the monomial table and the terms, each at most
-        # TILE_ELEMENTS entries together
-        step = max(1, TILE_ELEMENTS // (len(idx) + 2 * k))
-        sums = np.zeros((len(idx), 2 * k))
+        K = int(radius)
+        # rows per pass over the ball: their phase tables, g x (2K+1)
+        # complex entries per row, hold at most TILE_ELEMENTS doubles
+        per_pass = max(1, TILE_ELEMENTS // (2 * g * (2 * K + 1)))
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(pts), step):
-                sums += _tile_sums(pts[lo : lo + step].astype(float), idx, B_planes, U_planes)
-        out[rows] = (scale * (sums[:, :k] + 1j * sums[:, k:])).T
+            for lo in range(0, len(block), per_pass):
+                rows = block[lo : lo + per_pass]
+                sums = _ball_sums(pts, K, U[rows], steps, B_planes)
+                out[rows] = (scale * sums[list(select)]).T
     if not np.isfinite(out).all():
         raise ToleranceUnreachable(
             "theta or one of its derivatives is not finite in double precision "

@@ -7,6 +7,7 @@ set-partition (Moebius) formula rather than the library's recursion.
 """
 
 import itertools
+import math
 from math import comb
 
 import numpy as np
@@ -27,6 +28,52 @@ def brute_theta(u, B, K=12):
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     B = np.atleast_2d(np.asarray(B, dtype=complex))
     return sum(weight(n, u, B) for n in cube(len(u), K))
+
+
+def brute_theta_du_rows(U, B, indices, K):
+    """D^a theta for every row u of U (k x g) and every multi-index a, as
+    the sum of (2 pi n)^a e(-1/2 n^T B n + n.u) over the cube [-K, K]^g,
+    with the complex exponent taken whole (k x len(indices))."""
+    U = np.atleast_2d(np.asarray(U, dtype=complex))
+    B = np.atleast_2d(np.asarray(B, dtype=complex))
+    n = np.array(cube(U.shape[1], K), dtype=float)
+    quad = np.einsum("pi,ij,pj->p", n, B, n)
+    mono = np.array([np.prod((TWO_PI * n) ** np.array(a), axis=1) for a in indices])
+    return np.array([mono @ np.exp(TWO_PI * (n @ u - 0.5 * quad)) for u in U])
+
+
+def mp_theta_du(u, B, indices, K, dps=30):
+    """D^a theta at one u for every multi-index a, summed over the cube
+    [-K, K]^g in mpmath at `dps` digits from the exact binary values of u
+    and B.  Points whose double-precision term bound is below 1e-30 of the
+    largest are skipped."""
+    import mpmath
+
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    B = np.atleast_2d(np.asarray(B, dtype=complex))
+    g = len(u)
+    n = np.array(cube(g, K), dtype=float)
+    bound = TWO_PI * (n @ u.real - 0.5 * np.einsum("pi,ij,pj->p", n, B.real, n))
+    bound += 2.0 * np.log1p(TWO_PI * np.abs(n).sum(axis=1))
+    n = n[bound >= bound.max() - 69.0].astype(int)
+    pairs = [(i, j) for i in range(g) for j in range(i, g)]
+    with mpmath.workdps(dps):
+        two_pi = 2 * mpmath.pi
+        mu = [mpmath.mpc(x.real, x.imag) for x in u]
+        # B_ii / 2 and B_ij (i < j): quad / 2 = sum over pairs of p_i p_j times these
+        half = [mpmath.mpc(B[i, j].real, B[i, j].imag) / (2 if i == j else 1) for i, j in pairs]
+        scale = [two_pi ** sum(a) for a in indices]
+        acc = [mpmath.mpc(0)] * len(indices)
+        for p in n.tolist():
+            expo = sum(pi * ui for pi, ui in zip(p, mu)) - sum(
+                p[i] * p[j] * b for (i, j), b in zip(pairs, half)
+            )
+            term = mpmath.exp(two_pi * expo)
+            for j, a in enumerate(indices):
+                mono = math.prod(pi**ai for pi, ai in zip(p, a))
+                if mono:
+                    acc[j] += mono * term
+        return np.array([complex(c * x) for c, x in zip(scale, acc)])
 
 
 def brute_moment(u, B, a, K=12):

@@ -327,3 +327,124 @@ class TestThetaDuStack:
             tg.engine.theta_du_stack([(0, 0)], u[None, :], B)
         with pytest.raises(ToleranceUnreachable):
             theta(ThetaPoint(u, B))
+
+
+# -- the summand kernel against independent oracles -----------------------------
+
+# g: (smallest eigenvalue of Re B, the largest, mode box c_max, oracle cube
+# radius).  |Im B| <= 3 and |Im u| <= 5 throughout, and at g = 1, 2 the
+# small lambda_min takes the ball to |n| of 40 to 70, so the phase tables
+# run far from j = 0.  The cube leaves out less than 1e-25 of the sum.
+KERNEL_CASES = {
+    1: (0.01, 0.01, 2.0, 60),
+    2: (0.05, 0.25, 2.0, 24),
+    3: (0.3, 0.9, 2.0, 11),
+    4: (0.6, 1.2, 1.0, 6),
+}
+
+
+def kernel_params(rng, g, k, im_B=3.0, im_u=5.0):
+    """B with Re B eigenvalues in [lam, top] (lam attained) and
+    |Im B| <= im_B, and k arguments u = Re B c + i y with c in
+    [-c_max, c_max]^g (the mode) and y in [-im_u, im_u]^g."""
+    lam, top, c_max, _ = KERNEL_CASES[g]
+    Q = np.linalg.qr(rng.normal(size=(g, g)))[0]
+    re_B = Q @ np.diag(np.r_[lam, rng.uniform(lam, top, g - 1)]) @ Q.T
+    re_B = 0.5 * (re_B + re_B.T)
+    S = rng.uniform(-im_B, im_B, (g, g))
+    B = re_B + 0.5j * (S + S.T)
+    c = rng.uniform(-c_max, c_max, (k, g))
+    return c @ re_B + 1j * rng.uniform(-im_u, im_u, (k, g)), B
+
+
+def within_row_tolerance(rows, refs, eps):
+    """The tolerance of test_rows_match_per_point, row by row."""
+    bound = 2 * eps + 1e-12 * np.max(np.abs(refs), axis=1, keepdims=True)
+    return np.all(np.abs(rows - refs) <= bound)
+
+
+class TestSummandKernel:
+    @pytest.mark.parametrize("k", [1, 128, 129])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_rows_match_brute_force(self, rng, g, k):
+        from multiindex_helpers import all_indices
+        from oracles import brute_theta_du_rows
+
+        eps = 1e-10
+        U, B = kernel_params(rng, g, k)
+        K = KERNEL_CASES[g][-1]
+        idx = all_indices(g, 2)
+        stack = tg.engine.theta_du_stack(idx, U, B, eps)
+        assert within_row_tolerance(stack, brute_theta_du_rows(U, B, idx, K), eps)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_rows_match_mpmath(self, rng, g):
+        from multiindex_helpers import all_indices
+        from oracles import mp_theta_du
+
+        eps = 1e-10
+        U, B = kernel_params(rng, g, 129)
+        K = KERNEL_CASES[g][-1]
+        idx = all_indices(g, 2)
+        stack = tg.engine.theta_du_stack(idx, U, B, eps)
+        # the row summed alone in the second block and one of the first
+        order = np.argsort(np.linalg.norm(U.real, axis=1), kind="stable")
+        rows = [order[-1], order[0]]
+        refs = np.array([mp_theta_du(U[r], B, idx, K) for r in rows])
+        assert within_row_tolerance(stack[rows], refs, eps)
+
+    @staticmethod
+    def split_params(rng, im_B, im_u):
+        """g = 1, lambda_min = 1e-4: the ball reaches |n| = 381, so the phase
+        tables of 129 rows exceed TILE_ELEMENTS and each block is summed in
+        several passes over the ball."""
+        B = np.array([[1e-4 + 1j * rng.uniform(-im_B, im_B)]])
+        U = rng.uniform(-2.0, 2.0, (129, 1)) * 1e-4 + 1j * rng.uniform(-im_u, im_u, (129, 1))
+        radius = truncation_radius(B, U[0], (2,), 1e-10).radius
+        assert 2 * (2 * radius + 1) * 129 > tg.engine.TILE_ELEMENTS
+        return U, B
+
+    def test_rows_split_into_passes_match_brute_force(self, rng):
+        from oracles import brute_theta_du_rows
+
+        eps = 1e-10
+        idx = [(0,), (1,), (2,)]
+        U, B = self.split_params(rng, im_B=0.005, im_u=0.05)
+        stack = tg.engine.theta_du_stack(idx, U, B, eps)
+        assert within_row_tolerance(stack, brute_theta_du_rows(U, B, idx, 420), eps)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the certificate has no term for rounding in the phase of far "
+        "terms: with |Im B| ~ 3 and |Im u| ~ 5 at |n| ~ 400 the error is "
+        "several times the bound (the cos/sin kernel misses it too)",
+    )
+    def test_far_phase_rounding_within_certificate(self, rng):
+        from oracles import mp_theta_du
+
+        eps = 1e-10
+        idx = [(0,), (1,), (2,)]
+        U, B = self.split_params(rng, im_B=3.0, im_u=5.0)
+        stack = tg.engine.theta_du_stack(idx, U, B, eps)
+        refs = np.array([mp_theta_du(u, B, idx, 420) for u in U[:4]])
+        assert within_row_tolerance(stack[:4], refs, eps)
+
+    def test_tables_stay_inside_the_tile_budget(self, rng, monkeypatch):
+        """g = 1, B = 1e-6: the ball reaches |n| = 3408.  Building the phase
+        tables of all 128 rows at once took the heap peak from 2.7 MB (the
+        cos/sin kernel) to 35 MB."""
+        import tracemalloc
+
+        U = rng.uniform(-1e-7, 1e-7, (128, 1)) + 1j * rng.uniform(0.0, 1.0, (128, 1))
+        budget = truncation_radius([[1e-6]], U[-1], (0,), 1e-12)
+        assert budget.radius == 3408
+        tg.engine.theta_du_stack([(0,)], U, [[1e-6]])  # fill the lattice cache
+        # the radius search is pure Python, slow under tracemalloc
+        monkeypatch.setattr(tg.engine, "truncation_radius", lambda *args: budget)
+        tracemalloc.start()
+        try:
+            tg.engine.theta_du_stack([(0,)], U, [[1e-6]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2.7e6
