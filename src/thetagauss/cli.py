@@ -5,7 +5,8 @@ Every run writes a single JSON document
     {command, inputs_echo, result, diagnostics: {eps, radius, iterations}}
 
 to --output or standard output.  Exit codes: 0 success, 2 input error (a
-bad flag or params file, errors.InvalidParameters, ValueError), 3 numerical
+bad flag or params file, errors.InvalidParameters, ValueError, or an
+--output that cannot be written, reported on standard output), 3 numerical
 failure (errors.NumericalFailure); errors are reported as
 {error, field, message}.  Complex numbers are always [re, im] pairs,
 matrices row-major, and all floats are printed at 17 significant digits so
@@ -494,12 +495,20 @@ COMMANDS = {
 }
 
 
-def _write(cfg_output, text: str):
-    if cfg_output:
-        with open(cfg_output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _write(path, text: str, code: int) -> int:
+    """Write one document to `path`, or to standard output when there is
+    none, and return its exit code.  A path that cannot be written gives
+    exit 2, with an InputError document (field "output") on standard
+    output in place of the job's document."""
+    if path:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            return code
+        except OSError as exc:
+            text, code = _error(InputError("output", f"cannot write {path}: {exc.strerror}")), 2
+    sys.stdout.write(text + "\n")
+    return code
 
 
 def _report(command: str, result, echo, diagnostics) -> str:
@@ -523,8 +532,7 @@ def execute(cfg: JobConfig) -> int:
         text, code = _error(exc), 2
     except NumericalFailure as exc:
         text, code = exc.text if isinstance(exc, _VerifyFailed) else _error(exc), 3
-    _write(cfg.output, text)
-    return code
+    return _write(cfg.output, text, code)
 
 
 def _output_path(argv) -> str | None:
@@ -542,8 +550,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
     except InputError as exc:
-        _write(_output_path(argv), _error(exc))
-        return 2
+        return _write(_output_path(argv), _error(exc), 2)
     return execute(cfg)
 
 

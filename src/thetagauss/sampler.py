@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import TWO_PI, lattice_points, theta, truncation_radius
-from .errors import ToleranceUnreachable, TooFewSamples
+from .errors import InvalidParameters, ToleranceUnreachable, TooFewSamples
 from .fitting import CanonicalPoint
 
 RNG_ALGORITHM = "philox4x64"  # numpy Philox, 53-bit mantissa uniforms
@@ -94,11 +94,14 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
     whatever the range of the sample.  Float rows are truncated to integers
     first.
 
-    Raises TooFewSamples when no cell reaches the threshold.
+    Raises InvalidParameters when a row is not finite and TooFewSamples
+    when no cell reaches the threshold.
     """
     sample = np.atleast_2d(np.asarray(sample))
     if sample.size == 0:
         raise TooFewSamples("empty sample")
+    if not np.isfinite(sample).all():
+        raise InvalidParameters("sample rows must be finite")
     if sample.shape[1] != p.g:
         sample = sample.reshape(-1, p.g)
     n_obs = sample.shape[0]

@@ -190,6 +190,20 @@ class TestErrorOutput:
         doc = strict_loads(capsys.readouterr().out)
         assert doc["error"] == "InputError" and doc["field"] == "argv"
 
+    @pytest.mark.parametrize("parse_error", [False, True])
+    def test_unwritable_output_is_an_input_error(self, tmp_path, capsys, parse_error):
+        """A job that ran, or a parse error, whose --output cannot be
+        written: exit 2 and an InputError document on stdout."""
+        params = write_params(tmp_path / "p.json", [[1.0]], [0.1])
+        argv = ["theta", "--params", params, "--tol", "-1" if parse_error else "1e-10"]
+        out = tmp_path / "nodir" / "o.json"
+        assert cli.main(argv + ["--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "" and not out.exists()
+        doc = strict_loads(captured.out)
+        assert doc["error"] == "InputError" and doc["field"] == "output"
+        assert str(out) in doc["message"]
+
 
 # -- golden documents -----------------------------------------------------------
 #

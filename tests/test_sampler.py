@@ -4,7 +4,7 @@ import pytest
 import thetagauss as tg
 from thetagauss import CanonicalPoint, SamplerConfig
 from thetagauss.engine import TWO_PI, lattice_points, theta
-from thetagauss.errors import TooFewSamples
+from thetagauss.errors import InvalidParameters, TooFewSamples
 from thetagauss.fitting import forward_moments
 from thetagauss import sampler
 from thetagauss.sampler import chi_square, draw, support_radius
@@ -121,6 +121,13 @@ class TestChiSquare:
     def test_empty_sample(self):
         with pytest.raises(TooFewSamples):
             chi_square(np.zeros((0, 1), dtype=int), std1())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        # 100 bad rows beside 100 zeros were counted in the pooled cell
+        sample = np.r_[np.full(100, bad), np.zeros(100)][:, None]
+        with pytest.raises(InvalidParameters):
+            chi_square(sample, std1())
 
 
 class TestExactness:
