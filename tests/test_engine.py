@@ -333,8 +333,9 @@ class TestThetaDuStack:
 
 # g: (smallest eigenvalue of Re B, the largest, mode box c_max, oracle cube
 # radius).  |Im B| <= 3 and |Im u| <= 5 throughout, and at g = 1, 2 the
-# small lambda_min takes the ball to |n| of 40 to 70, so the phase tables
-# run far from j = 0.  The cube leaves out less than 1e-25 of the sum.
+# small lambda_min takes the ball to |n| of about 35 and 25, so the phase tables
+# run far from j = 0.  Widening the cube by 3 moves no row by more than
+# 4e-15 of its largest value.
 KERNEL_CASES = {
     1: (0.01, 0.01, 2.0, 60),
     2: (0.05, 0.25, 2.0, 24),
