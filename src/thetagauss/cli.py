@@ -22,6 +22,7 @@ evaluate at one point (u, B) and share its prologue, _at_point.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -145,7 +146,14 @@ def _as_complex_scalar(value, field_name: str) -> complex:
         or not all(isinstance(x, (int, float)) for x in value)
     ):
         raise InputError(field_name, "complex numbers must be [re, im] pairs")
-    return complex(value[0], value[1])
+    try:
+        z = complex(value[0], value[1])
+        finite = cmath.isfinite(z)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise InputError(field_name, "complex numbers must be finite")
+    return z
 
 
 def _parse_u(value, g: int) -> np.ndarray:
@@ -242,8 +250,8 @@ def parse_config(argv) -> JobConfig:
         d=ns.d,
         trials=ns.trials,
     )
-    if cfg.tol <= 0:
-        raise InputError("tol", "tol must be positive")
+    if not 0 < cfg.tol < math.inf:
+        raise InputError("tol", "tol must be positive and finite")
     if ns.mu is not None:
         try:
             cfg.mu = json.loads(ns.mu)

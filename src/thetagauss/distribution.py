@@ -123,6 +123,24 @@ def moment_covariance(mus: dict, indices) -> np.ndarray:
     )
 
 
+def canonical_parameters(u, B):
+    """Unique representative of (u, B) under the integer-shift action
+
+        (a, beta).(u, B) = (u + i*a + i/2*diag(beta), B - i*beta)
+
+    for integer a and symmetric integer beta, which leaves the distribution
+    unchanged: canonical Im(B) and Im(u) entries lie in [0, 1), boundary
+    values flooring downward.  Returns (u, B, witness (a, beta)).
+    """
+    u = np.asarray(u, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    # the action subtracts i*beta, so beta = floor(Im B) lands Im in [0,1)
+    beta = np.floor(B.imag).astype(np.int64)
+    shift = 0.5 * np.diag(beta).astype(float)
+    a = -np.floor(u.imag + shift).astype(np.int64)
+    return u + 1j * a + 1j * shift, B - 1j * beta, (a, beta)
+
+
 class DiscreteGaussian:
     """A discrete Gaussian on Z^g with cached normalizer theta(u, B).
 
@@ -134,9 +152,7 @@ class DiscreteGaussian:
     __slots__ = ("point", "theta_value", "eps", "_moments", "_moments_order", "_cumulants")
 
     def __init__(self, u, B, eps: float = 1e-12):
-        point = u if isinstance(u, ThetaPoint) and B is None else None
-        if point is None:
-            point = ThetaPoint(u, B)
+        point = ThetaPoint(u, B)
         value = theta(point, eps)
         if abs(value) <= 10.0 * eps:
             raise DivisorHit(
@@ -149,10 +165,6 @@ class DiscreteGaussian:
         self._moments = {}
         self._moments_order = -1
         self._cumulants = {}
-
-    @classmethod
-    def from_point(cls, point: ThetaPoint, eps: float = 1e-12) -> "DiscreteGaussian":
-        return cls(point, None, eps)
 
     @property
     def g(self) -> int:
@@ -317,29 +329,20 @@ class DiscreteGaussian:
         return DiscreteGaussian(new_u, new_B, self.eps)
 
     def canonicalize(self):
-        """Unique representative of the distribution under the integer-shift
-        action (a, beta).(u, B) = (u + i*a + i/2*diag(beta), B - i*beta):
-        canonical Im(B) and Im(u) entries lie in [0, 1).
-
-        Returns (canonical distribution, witness (a, beta)); boundary values
-        floor downward.  The pmf is unchanged pointwise.
-        """
-        # the action subtracts i*beta, so beta = floor(Im B) lands Im in [0,1)
-        beta = np.floor(self.B.imag).astype(np.int64)
-        new_B = self.B - 1j * beta
-        shift = 0.5 * np.diag(beta).astype(float)
-        a = -np.floor(self.u.imag + shift).astype(np.int64)
-        new_u = self.u + 1j * a + 1j * shift
-        return DiscreteGaussian(new_u, new_B, self.eps), (a, beta)
+        """The canonical representative of this distribution (see
+        canonical_parameters) and the witness (a, beta).  The pmf is
+        unchanged pointwise."""
+        u, B, witness = canonical_parameters(self.u, self.B)
+        return DiscreteGaussian(u, B, self.eps), witness
 
     def same_distribution(self, other: "DiscreteGaussian") -> bool:
-        """Equality of distributions: canonical forms agree to 1e-10."""
+        """Equality of distributions: canonical parameters agree to 1e-10."""
         if self.g != other.g:
             raise ValueError("dimensions differ")
-        c1, _ = self.canonicalize()
-        c2, _ = other.canonicalize()
-        du = np.max(np.abs(c1.u - c2.u))
-        dB = np.max(np.abs(c1.B - c2.B))
+        u1, B1, _ = canonical_parameters(self.u, self.B)
+        u2, B2, _ = canonical_parameters(other.u, other.B)
+        du = np.max(np.abs(u1 - u2))
+        dB = np.max(np.abs(B1 - B2))
         return bool(max(du, dB) < SAME_DISTRIBUTION_TOL)
 
     def is_independent_split(self, s: SplitSpec) -> bool:

@@ -100,6 +100,8 @@ class SiegelMatrix:
         B = np.array(entries, dtype=complex)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ValueError("B must be a square matrix")
+        if not np.all(np.isfinite(B)):
+            raise ValueError("B must have finite entries")
         if not np.array_equal(B, B.T):
             raise ValueError("B must be symmetric: B[i][j] == B[j][i] exactly")
         lam = float(np.linalg.eigvalsh(B.real)[0])
@@ -131,6 +133,8 @@ class ThetaPoint:
         u = np.atleast_1d(np.array(u, dtype=complex))
         if u.ndim != 1 or u.shape[0] != B.g:
             raise ValueError(f"u must be a vector of length g={B.g}")
+        if not np.all(np.isfinite(u)):
+            raise ValueError("u must have finite entries")
         u.setflags(write=False)
         self.u = u
         self.B = B

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import moment_covariance, moment_table
-from .engine import TWO_PI, ThetaPoint, theta_du_stack
+from .engine import EPS_FLOOR, TWO_PI, ThetaPoint, theta_du_stack
 from .errors import DegenerateSample, NoConvergence, NotPD
 from .multiindex import indices_up_to, unit
 
-EPS_FLOOR = 1e-14
 MAX_ITERATIONS = 200
 
 
@@ -35,12 +34,21 @@ def _check_real_spd(M, name: str, tol: float = 1e-10):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotPD(f"{name} must be a square matrix")
+    if not np.all(np.isfinite(M)):
+        raise NotPD(f"{name} must have finite entries")
     if np.max(np.abs(M - M.T)) > tol * max(1.0, np.max(np.abs(M))):
         raise NotPD(f"{name} must be symmetric")
     M = 0.5 * (M + M.T)
     if np.linalg.eigvalsh(M)[0] <= 0:
         raise NotPD(f"{name} must be positive definite")
     return M
+
+
+def _finite_vector(v, name: str) -> np.ndarray:
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must have finite entries")
+    return v
 
 
 @dataclass(frozen=True)
@@ -51,7 +59,7 @@ class MomentData:
     sigma: np.ndarray
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
+        mu = _finite_vector(self.mu, "mu")
         sigma = _check_real_spd(self.sigma, "sigma")
         if mu.shape != (sigma.shape[0],):
             raise ValueError("mu and sigma dimensions disagree")
@@ -72,7 +80,7 @@ class CanonicalPoint:
     B: np.ndarray
 
     def __post_init__(self):
-        u = np.atleast_1d(np.asarray(self.u, dtype=float))
+        u = _finite_vector(self.u, "u")
         B = _check_real_spd(self.B, "B")
         if u.shape != (B.shape[0],):
             raise ValueError("u and B dimensions disagree")
@@ -267,6 +275,8 @@ def fit_from_sample(data, tol: float = 1e-9, ddof: int = 1) -> FitReport:
         data = data.reshape(-1, 1)
     if data.ndim != 2:
         raise ValueError("data must be a sequence of lattice vectors")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("data must have finite entries")
     n, g = data.shape
     if n <= ddof:
         raise DegenerateSample(f"need more than {ddof} observations, got {n}")

@@ -1,16 +1,20 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here sums the defining series directly over a full coordinate
+Every oracle here sums the defining series directly over a full coordinate
 cube, with no shared code path into the library: no certified radii, no
 shell ordering, no moment recursions.  Cumulant oracles use the classical
 set-partition (Moebius) formula rather than the library's recursion.
+
+The random-parameter generators are re-exported from thetagauss.properties;
+their divisor filter is a direct cube sum, not the library's kernel.
 """
 
 import itertools
 import math
-from math import comb
 
 import numpy as np
+
+from thetagauss.properties import random_complex_params, random_real_params  # noqa: F401
 
 TWO_PI = 2.0 * np.pi
 
@@ -197,25 +201,3 @@ def brute_pearson(sample, u, B, min_expected=5.0, K=12):
         smallest[0] += pooled_exp
         smallest[1] += pooled_obs
     return sum((o - e) ** 2 / e for e, o in cells), len(cells) - 1
-
-
-def random_real_params(rng, g, diag=(0.6, 1.3), off=0.25, u_range=0.4):
-    """Random real (u, B) with B diagonally dominant SPD."""
-    A = rng.uniform(-off, off, (g, g))
-    B = 0.5 * (A + A.T) + np.eye(g) * rng.uniform(*diag)
-    while np.linalg.eigvalsh(B)[0] < 0.15:
-        A = rng.uniform(-off, off, (g, g))
-        B = 0.5 * (A + A.T) + np.eye(g) * rng.uniform(*diag)
-    u = rng.uniform(-u_range, u_range, g)
-    return u, B
-
-
-def random_complex_params(rng, g, min_theta=0.1):
-    """Random complex (u, B) off the theta divisor (|theta| >= min_theta)."""
-    while True:
-        u_re, B_re = random_real_params(rng, g)
-        S = rng.uniform(-0.4, 0.4, (g, g))
-        B = B_re + 0.5j * (S + S.T)
-        u = u_re + 1j * rng.uniform(-0.4, 0.4, g)
-        if abs(brute_theta(u, B, K=8)) >= min_theta:
-            return u, B

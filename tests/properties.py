@@ -1,111 +1,4 @@
-"""Randomized property runners shared by the unit and acceptance suites.
+"""The property runners of thetagauss.properties, under the name the tests
+import; each returns the worst defect of `count` seeded instances."""
 
-Each runner draws `count` seeded instances, checks one spec invariant at
-its stated tolerance, and returns the worst observed defect (so acceptance
-output can show margins).  Assertions fire inside, on every instance.
-"""
-
-import numpy as np
-
-import thetagauss as tg
-from thetagauss.engine import TWO_PI, ThetaPoint, theta, theta_dB
-
-from oracles import random_complex_params, random_real_params
-
-
-def run_quasiperiodicity(rng, count, eps=1e-12, tol=None):
-    tol = 10.0 * eps if tol is None else tol
-    worst = 0.0
-    for _ in range(count):
-        g = int(rng.integers(1, 4))
-        u, B = random_complex_params(rng, g)
-        m = rng.integers(-2, 3, g)
-        n = np.zeros(g, dtype=int)
-        n[rng.integers(0, g)] = rng.choice([-1, 0, 1])
-        lhs = theta(ThetaPoint(u + 1j * m + B @ n, B), eps)
-        rhs = np.exp(TWO_PI * (0.5 * n @ B @ n + n @ u)) * theta(ThetaPoint(u, B), eps)
-        defect = abs(lhs - rhs)
-        assert defect < tol, f"quasiperiodicity defect {defect:.3e} at g={g}"
-        worst = max(worst, defect)
-    return worst
-
-
-def run_parity(rng, count, eps=1e-12):
-    worst = 0.0
-    for _ in range(count):
-        g = int(rng.integers(1, 4))
-        u, B = random_complex_params(rng, g)
-        defect = abs(theta(ThetaPoint(-u, B), eps) - theta(ThetaPoint(u, B), eps))
-        assert defect < 2.0 * eps
-        worst = max(worst, defect)
-    return worst
-
-
-def run_factorization(rng, count, eps=1e-12):
-    worst = 0.0
-    for _ in range(count):
-        g1 = int(rng.integers(1, 3))
-        g2 = int(rng.integers(1, 3))
-        u1, B1 = random_complex_params(rng, g1)
-        u2, B2 = random_complex_params(rng, g2)
-        B = np.zeros((g1 + g2, g1 + g2), dtype=complex)
-        B[:g1, :g1], B[g1:, g1:] = B1, B2
-        u = np.concatenate([u1, u2])
-        lhs = theta(ThetaPoint(u, B), eps)
-        rhs = theta(ThetaPoint(u1, B1), eps) * theta(ThetaPoint(u2, B2), eps)
-        defect = abs(lhs - rhs)
-        assert defect < 1e-11
-        worst = max(worst, defect)
-    return worst
-
-
-def run_heat_equation_fd(rng, count, h=1e-5, rel_tol=1e-6):
-    worst = 0.0
-    for _ in range(count):
-        g = int(rng.integers(1, 3))
-        u, B = random_real_params(rng, g)
-        i, j = sorted(rng.integers(0, g, 2))
-        E = np.zeros((g, g))
-        E[i, j] = E[j, i] = h
-        fd = (theta(ThetaPoint(u, B + E), 1e-13) - theta(ThetaPoint(u, B - E), 1e-13)) / (
-            2.0 * h
-        )
-        analytic = theta_dB(int(i), int(j), ThetaPoint(u, B), 1e-13)
-        rel = abs(fd - analytic) / abs(analytic)
-        assert rel < rel_tol, f"heat-equation fd defect {rel:.3e} at (i,j)=({i},{j})"
-        worst = max(worst, rel)
-    return worst
-
-
-def run_jacobi_identity(rng, count, rel_tol=1e-9):
-    worst = 0.0
-    for _ in range(count):
-        B = float(rng.uniform(0.4, 2.5))
-        u = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.4, 0.4))
-        lhs = theta(ThetaPoint([u / (1j * B)], [[1.0 / B]]), 1e-13)
-        rhs = np.sqrt(B) * np.exp(-np.pi * u * u / B) * theta(
-            ThetaPoint([u], [[B]]), 1e-13
-        )
-        rel = abs(lhs - rhs) / abs(rhs)
-        assert rel < rel_tol
-        worst = max(worst, rel)
-    return worst
-
-
-def run_truncation_monotonicity(rng, count, eps=1e-12):
-    worst = 0.0
-    for _ in range(count):
-        g = int(rng.integers(1, 3))
-        u, B = random_complex_params(rng, g)
-        p = ThetaPoint(u, B)
-        budget = tg.truncation_radius(p.B, p.u, None, eps)
-
-        def partial(radius):
-            pts = tg.lattice_points(g, radius)
-            quad = np.einsum("pi,ij,pj->p", pts, p.B.entries, pts)
-            return np.exp(TWO_PI * (-0.5 * quad + pts @ p.u)).sum()
-
-        defect = abs(partial(budget.radius) - partial(2.0 * budget.radius))
-        assert defect < eps
-        worst = max(worst, defect)
-    return worst
+from thetagauss.properties import *  # noqa: F401,F403

@@ -142,6 +142,37 @@ class TestNonFinite:
             identifiability_probe(np.eye(1), trials=0)
 
 
+class TestNonFiniteParameters:
+    """JSON admits NaN and Infinity; a params file holding one is an input
+    error on its field."""
+
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            ("theta", {"g": 1, "u": [[float("inf"), 0.0]], "B": [[[1.0, 0.0]]]}, "u"),
+            ("sample", {"g": 1, "u": [[float("inf"), 0.0]], "B": [[[1.0, 0.0]]]}, "u"),
+            ("sample", {"g": 1, "u": [[0.0, float("nan")]], "B": [[[1.0, 0.0]]]}, "u"),
+            ("theta", {"g": 1, "u": [[float("nan"), 0.0]], "B": [[[1.0, 0.0]]]}, "u"),
+            ("moments", {"g": 1, "B": [[[float("nan"), 0.0]]]}, "B"),
+            ("theta", {"g": 1, "B": [[[10**400, 0]]]}, "B"),
+        ],
+    )
+    def test_exit_2_on_the_field(self, tmp_path, command, doc, field):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(doc), encoding="utf-8")
+        code, text = run(tmp_path, [command, "--params", str(params), "--count", "3"])
+        assert code == 2
+        err = strict_loads(text)
+        assert (err["error"], err["field"]) == ("InputError", field)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_2(self, tmp_path, tol):
+        params = write_params(tmp_path / "p.json", [[1.0]])
+        code, text = run(tmp_path, ["theta", "--params", params, "--tol", tol])
+        assert code == 2
+        assert strict_loads(text)["field"] == "tol"
+
+
 class TestVerify:
     def test_all_checks_pass(self, tmp_path):
         code, text = run(tmp_path, ["verify"])

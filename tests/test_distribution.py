@@ -3,7 +3,8 @@ import pytest
 
 import thetagauss as tg
 from thetagauss import DiscreteGaussian, MomentKey, MultiIndex, SplitSpec
-from thetagauss.distribution import moment_covariance, moment_table
+from thetagauss import distribution
+from thetagauss.distribution import canonical_parameters, moment_covariance, moment_table
 from thetagauss.engine import TWO_PI, lattice_points, truncation_radius
 from thetagauss.errors import DivisorHit, NotUnimodular
 
@@ -400,6 +401,32 @@ class TestSameDistribution:
             # and the pmfs really agree pointwise
             for n in ([0, 0], [1, -1], [-2, 2]):
                 assert twin.pmf(n) == pytest.approx(d.pmf(n), abs=1e-11)
+
+
+class TestCanonicalParameters:
+    def test_inverts_the_integer_shift_action(self, rng):
+        for _ in range(4):
+            u, B = random_real_params(rng, 2)
+            beta = rng.integers(-3, 4, (2, 2))
+            beta = beta + beta.T
+            a = rng.integers(-3, 4, 2)
+            cu, cB, (wa, wbeta) = canonical_parameters(
+                u + 1j * (0.5 * np.diag(beta) + a), B - 1j * beta
+            )
+            assert np.array_equal(cu, u) and np.array_equal(cB, B)
+            assert np.array_equal(wbeta, -beta) and np.array_equal(wa, -a)
+
+    def test_same_distribution_evaluates_no_theta(self, rng, monkeypatch):
+        u, B = random_complex_params(rng, 2)
+        d = DiscreteGaussian(u, B)
+        twin = d.translate([2, -1], [0, 0])
+
+        def boom(*args, **kwargs):
+            raise AssertionError("theta evaluated")
+
+        monkeypatch.setattr(distribution, "theta", boom)
+        monkeypatch.setattr(distribution, "ThetaPoint", boom)
+        assert d.same_distribution(twin)
 
 
 class TestIndependence:

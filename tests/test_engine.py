@@ -55,6 +55,18 @@ class TestSiegelMatrix:
             ThetaPoint([0.0, 0.0], [[1.0]])
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("x", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_siegel_matrix_rejects(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            SiegelMatrix([[1.0, x], [x, 1.0]])
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_theta_point_rejects(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            ThetaPoint([0.0, x], [[1.0, 0.0], [0.0, 1.0]])
+
+
 class TestTruncationRadius:
     def test_g1_eps12_radius_at_most_6(self):
         budget = truncation_radius([[1.0]], [0.0], None, 1e-12)

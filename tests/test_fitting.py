@@ -223,6 +223,24 @@ class TestFitFromSample:
         assert abs(fitted.sigma[0, 0] - md.sigma[0, 0]) < 3 * se_var
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_parameter_types_reject(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            CanonicalPoint([x], [[1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            MomentData([x], [[1.0]])
+        with pytest.raises(NotPD, match="finite"):
+            CanonicalPoint([0.0], [[x]])
+        with pytest.raises(NotPD, match="finite"):
+            MomentData([0.0], [[x]])
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_sample_rejects(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            fit_from_sample([[0.0], [1.0], [x], [2.0]])
+
+
 class TestTwoPiConstant:
     def test_exact_inverse_two_pi_misses_unit_variance(self):
         # the Jacobi identity pins the duality
