@@ -12,6 +12,8 @@ failure (errors.NumericalFailure); errors are reported as
 matrices row-major, and all floats are printed at 17 significant digits so
 the document is byte-deterministic and round-trips doubles exactly.  A
 result holding inf or nan is a numerical failure, never bare JSON.
+JSON true and false are not numbers here.  The radius of sample is the
+support radius about round(B^-1 u) (sampler.support_radius).
 
 The commands are one table, COMMANDS = {name: (run, allowed params keys)}.
 run(cfg) returns (result, inputs_echo, diagnostics); a command whose keys
@@ -51,7 +53,7 @@ from .geometry import (
     verify_cubic,
 )
 from .multiindex import moment_map_indices, unit
-from .sampler import RNG_ALGORITHM, SamplerConfig, draw, support_radius
+from .sampler import RNG_ALGORITHM, SamplerConfig, _draw
 
 
 class InputError(InvalidParameters):
@@ -139,11 +141,16 @@ def _pairs_matrix(M) -> list:
 # -- input parsing -------------------------------------------------------------
 
 
+def _is_number(x, kinds=(int, float)) -> bool:
+    """x is one of `kinds` and not a JSON true/false (bool subclasses int)."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def _as_complex_scalar(value, field_name: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(x, (int, float)) for x in value)
+        or not all(_is_number(x) for x in value)
     ):
         raise InputError(field_name, "complex numbers must be [re, im] pairs")
     try:
@@ -199,7 +206,7 @@ def _load_params_file(path: str, command: str) -> dict:
 
 def _require_theta_params(cfg: JobConfig) -> tuple[np.ndarray, np.ndarray]:
     raw = cfg.params
-    if "g" not in raw or not isinstance(raw["g"], int) or raw["g"] < 1:
+    if "g" not in raw or not _is_number(raw["g"], int) or raw["g"] < 1:
         raise InputError("g", "g must be a positive integer")
     g = raw["g"]
     if "B" not in raw:
@@ -312,7 +319,7 @@ def _run_pmf(cfg: JobConfig, u, B, eps):
     if "n" not in cfg.params:
         raise InputError("n", "pmf requires the lattice point n")
     n = cfg.params["n"]
-    if not isinstance(n, list) or not all(isinstance(x, int) for x in n):
+    if not isinstance(n, list) or not all(_is_number(x, int) for x in n):
         raise InputError("n", "n must be a list of integers")
     d = DiscreteGaussian(u, B, eps)
     budget = truncation_radius(d.point.B, d.point.u, None, eps)
@@ -346,7 +353,13 @@ def _run_fit(cfg: JobConfig):
         if cfg.mu is None or cfg.sigma is None:
             raise InputError("mu", "fit requires --mu and --sigma (or a data file)")
         try:
-            target = MomentData(np.asarray(cfg.mu, dtype=float), np.asarray(cfg.sigma, dtype=float))
+            mu = np.atleast_1d(np.asarray(cfg.mu, dtype=float))
+            if not np.isfinite(mu).all():
+                raise ValueError("mu must have finite entries")
+        except (TypeError, ValueError) as exc:
+            raise InputError("mu", f"invalid moment target: {exc}")
+        try:
+            target = MomentData(mu, np.asarray(cfg.sigma, dtype=float))
         except (TypeError, ValueError) as exc:
             raise InputError("sigma", f"invalid moment target: {exc}")
         report = fit(target, tol=cfg.tol)
@@ -372,8 +385,8 @@ def _run_sample(cfg: JobConfig):
         raise InputError("count", "sample requires --count >= 1")
     p = CanonicalPoint(u, B)
     scfg = SamplerConfig(tail_eps=min(cfg.tol, 1e-6), seed=cfg.seed)
-    radius = support_radius(p, scfg.tail_eps)
-    sample = draw(p, cfg.count, scfg)
+    # the radius of the ball about round(B^-1 u) that the draws came from
+    sample, radius = _draw(p, cfg.count, scfg)
     echo = {
         "g": p.g,
         "u": [float(x) for x in u],

@@ -13,6 +13,13 @@ derivatives up to order four).  A damped Newton iteration with positive
 definiteness safeguarding solves it; B0 = Sigma^-1/(2*pi), u0 = B0 mu (the
 continuous-Gaussian kernel) starts essentially converged for well-scaled
 targets.
+
+The problem is solved for the target shifted by m = round(mu) and the
+solution shifted back.  By the translation action, X + m has parameters
+(u + Bm, B), and F is invariant under (u, B, mu) -> (u + Bm, B, mu + m);
+Newton's method with Armijo backtracking is affine-invariant, so the
+iterates are the same up to rounding, while theta at the shifted iterates
+stays of order one and the absolute eps of its sums bounds the moments.
 """
 
 from __future__ import annotations
@@ -188,7 +195,10 @@ def fit(
     Damped Newton on the convex objective F; a trial step is rejected when
     it leaves the positive definite cone or fails the Armijo test.
     Convergence requires both the moment residual below tol and the squared
-    Newton decrement below tol^2.
+    Newton decrement below tol^2.  The iteration runs on the target
+    (mu - m, Sigma), m = round(mu), and returns u + Bm (see the module
+    docstring); the objective reported is F, which that shift leaves
+    unchanged.
 
     Raises NoConvergence after max_iterations, NotPD for an invalid target
     (normally caught at MomentData construction).
@@ -201,7 +211,8 @@ def fit(
         eps = max(EPS_FLOOR, 1e-4 * tol)
     g = target.g
     pairs = _triu_pairs(g)
-    mu_t = target.mu
+    shift = np.round(target.mu)
+    mu_t = target.mu - shift
     S_t = target.sigma + np.outer(mu_t, mu_t)
 
     B = np.linalg.inv(target.sigma) / TWO_PI
@@ -230,8 +241,9 @@ def fit(
         decrement_sq = float(-grad @ dx)
 
         if resid < tol and decrement_sq < tol * tol:
+            u, B = _unpack(x, g, pairs)
             return FitReport(
-                params=CanonicalPoint(x[:g], _unpack(x, g, pairs)[1]),
+                params=CanonicalPoint(u + B @ shift, B),
                 iterations=iteration - 1,
                 grad_norm=resid,
                 objective=F,

@@ -1,12 +1,17 @@
 """Exact sampling from real-parameter discrete Gaussians.
 
-The sampler enumerates the support ball whose certified tail mass is below
-tail_eps, builds the cumulative weights in the deterministic shell order,
-and inverts the CDF with 53-bit uniforms from a counter-based Philox
-generator.  The sampled law equals the pmf restricted to the enumerated
-support, renormalized; its total variation distance from the true pmf is
-below tail_eps by construction.  Identical (parameters, count, config)
-always produce the identical sample.
+The sampler works about the lattice point m = round(B^-1 u) nearest the
+mode.  By the translation action, X - m is the discrete Gaussian at
+(u - Bm, B), whose argument lies in the fundamental cell B [-1/2, 1/2]^g,
+so theta there, and the certified radius of its tail bound, depend on the
+spread of the law and not on the distance of its mean from the origin.
+The sampler enumerates the ball about m whose certified tail mass is
+below tail_eps, in the deterministic shell order about m, builds the
+cumulative weights and inverts the CDF with 53-bit uniforms from a
+counter-based Philox generator.  The sampled law equals the pmf restricted
+to the enumerated support, renormalized; its total variation distance from
+the true pmf is below tail_eps by construction.  Identical (parameters,
+count, config) always produce the identical sample.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import TWO_PI, lattice_points, theta, truncation_radius
+from .engine import TWO_PI, ThetaPoint, lattice_points, theta, truncation_radius
 from .errors import InvalidParameters, ToleranceUnreachable, TooFewSamples
 from .fitting import CanonicalPoint
 
@@ -35,29 +40,44 @@ class SamplerConfig:
 
 
 def support_radius(p: CanonicalPoint, tail_eps: float) -> float:
-    """Radius R with total pmf mass beyond ||n|| <= R below tail_eps,
-    obtained from the engine tail bound divided by theta."""
-    return _theta_and_radius(p, tail_eps)[1]
+    """Radius R with total pmf mass beyond ||n - m|| <= R below tail_eps,
+    m = round(B^-1 u) the lattice point nearest the mode.
+
+    R is the engine's certified radius for theta at (u - Bm, B) with the
+    tail bound tail_eps * theta(u - Bm, B), so it does not grow with the
+    distance of the mean from the origin.  Raises ToleranceUnreachable
+    when that bound is below the engine's double-precision floor EPS_FLOOR
+    (theta(u - Bm, B) >= 1, so this can happen for tail_eps < EPS_FLOOR).
+    """
+    return _certified_ball(p, tail_eps)[2]
 
 
-def _theta_and_radius(p: CanonicalPoint, tail_eps: float) -> tuple[float, float]:
-    tp = p.to_theta_point()
+def _certified_ball(p: CanonicalPoint, tail_eps: float) -> tuple[np.ndarray, float, float]:
+    """m = round(B^-1 u), theta(u - Bm, B) and the certified radius about m."""
+    m = np.round(np.linalg.solve(p.B, p.u))
+    tp = ThetaPoint(p.u - p.B @ m, p.B)
     t = theta(tp, 1e-12).real
     budget = truncation_radius(tp.B, tp.u, None, tail_eps * t)
-    return t, budget.radius
+    return m.astype(np.int64), t, budget.radius
 
 
 def _support_weights(p: CanonicalPoint, tail_eps: float):
-    """Support points in shell order, their unnormalised weights, and the
-    theta that normalised the tail bound."""
-    t, radius = _theta_and_radius(p, tail_eps)
-    pts = lattice_points(p.g, radius)
+    """Support points in shell order about m = round(B^-1 u), their
+    unnormalised weights at (u, B), theta(u, B) and the support radius.
+
+    theta(u, B) = theta(u - Bm, B) exp(2 pi (m.u - 1/2 m^T B m)); the
+    weights and that factor are taken at (u, B) and the absolute points,
+    so they overflow, and ToleranceUnreachable is raised, for a mean far
+    enough from the origin."""
+    m, t, radius = _certified_ball(p, tail_eps)
+    pts = lattice_points(p.g, radius) + m
     quad = np.einsum("pi,ij,pj->p", pts, p.B, pts)
     with np.errstate(over="ignore"):
         weights = np.exp(TWO_PI * (-0.5 * quad + pts @ p.u))
-    if not np.isfinite(weights).all():
+        t *= np.exp(TWO_PI * (m @ p.u - 0.5 * (m @ p.B @ m)))
+    if not (np.isfinite(weights).all() and np.isfinite(t)):
         raise ToleranceUnreachable("sampler weights overflow double precision")
-    return pts, weights, t
+    return pts, weights, t, radius
 
 
 def draw(p: CanonicalPoint, count: int, cfg: SamplerConfig) -> np.ndarray:
@@ -66,16 +86,21 @@ def draw(p: CanonicalPoint, count: int, cfg: SamplerConfig) -> np.ndarray:
     Returns an integer array of shape (count, g); reproducible given the
     seed (Philox counter-based stream, one uniform per draw).
     """
+    return _draw(p, count, cfg)[0]
+
+
+def _draw(p: CanonicalPoint, count: int, cfg: SamplerConfig) -> tuple[np.ndarray, float]:
+    """draw, and the support radius it sampled within (see support_radius)."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    pts, weights, _ = _support_weights(p, cfg.tail_eps)
+    pts, weights, _, radius = _support_weights(p, cfg.tail_eps)
     cdf = np.cumsum(weights)
     total = cdf[-1]
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     uniforms = rng.random(count) * total
     idx = np.searchsorted(cdf, uniforms, side="right")
     idx = np.minimum(idx, len(pts) - 1)
-    return pts[idx].astype(np.int64)
+    return pts[idx].astype(np.int64), radius
 
 
 def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
@@ -90,7 +115,7 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
     the kept cells maps each box cell to its position among the kept cells
     (shell order) or to -1, and every row outside that box or on a -1 entry
     falls in the pooled cell.  The table never exceeds the kept cells'
-    bounding box, which lies inside the box [-R, R]^g of the support ball,
+    bounding box, which lies inside the box m + [-R, R]^g of the support ball,
     whatever the range of the sample.  Float rows are truncated to integers
     first.
 
@@ -106,7 +131,7 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
         sample = sample.reshape(-1, p.g)
     n_obs = sample.shape[0]
 
-    pts, weights, t = _support_weights(p, 1e-9)
+    pts, weights, t, _ = _support_weights(p, 1e-9)
     probs = weights / t
 
     expected = n_obs * probs

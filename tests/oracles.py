@@ -177,13 +177,27 @@ def brute_pmf(u, B, K=12):
     return {n: weight(n, u, B).real / t for n in cube(len(u), K)}
 
 
-def brute_pearson(sample, u, B, min_expected=5.0, K=12):
+def brute_pmf_about(u, B, centre, K):
+    """{cell: probability} over the cube centre + [-K, K]^g, real
+    parameters, normalised over the cube.  Exponents are taken relative to
+    the largest, so a mode far from the origin does not overflow."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    cells = [tuple(int(c) + k for c, k in zip(centre, n)) for n in cube(len(u), K)]
+    n = np.array(cells, dtype=float)
+    expo = TWO_PI * (n @ u - 0.5 * np.einsum("pi,ij,pj->p", n, B, n))
+    w = np.exp(expo - expo.max())
+    return dict(zip(cells, w / w.sum()))
+
+
+def brute_pearson(sample, u, B, min_expected=5.0, K=12, centre=None):
     """(Pearson statistic, dof) by the documented cell rule, from the cube
-    pmf and a plain dict of counts.  Cells with expected count >=
-    min_expected are kept; the rest of the lattice is one pooled cell,
-    merged into the smallest kept cell when its own expectation is below
-    min_expected.  Rows are truncated to integers toward zero."""
-    pmf = brute_pmf(u, B, K)
+    pmf (about `centre` when given, see brute_pmf_about) and a plain dict
+    of counts.  Cells with expected count >= min_expected are kept; the
+    rest of the lattice is one pooled cell, merged into the smallest kept
+    cell when its own expectation is below min_expected.  Rows are
+    truncated to integers toward zero."""
+    pmf = brute_pmf(u, B, K) if centre is None else brute_pmf_about(u, B, centre, K)
     counts = {}
     for row in sample:
         key = tuple(int(x) for x in row)

@@ -236,6 +236,66 @@ class TestErrorOutput:
         assert str(out) in doc["message"]
 
 
+class TestBooleanParameters:
+    """JSON true and false are not numbers, though bool subclasses int."""
+
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            ("theta", {"g": 1, "u": [[False, 0]], "B": [[[1.0, 0.0]]]}, "u"),
+            ("theta", {"g": 1, "B": [[[True, 0]]]}, "B"),
+            ("sample", {"g": 1, "u": [[True, 0.0]], "B": [[[1.0, 0.0]]]}, "u"),
+            ("theta", {"g": True, "B": [[[1.0, 0.0]]]}, "g"),
+            ("pmf", {"g": 1, "B": [[[1.0, 0.0]]], "n": [True]}, "n"),
+        ],
+    )
+    def test_exit_2_on_the_field(self, tmp_path, command, doc, field):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(doc), encoding="utf-8")
+        code, text = run(tmp_path, [command, "--params", str(params), "--count", "3"])
+        assert code == 2
+        err = strict_loads(text)
+        assert (err["error"], err["field"]) == ("InputError", field)
+
+
+class TestFitTargetFields:
+    @pytest.mark.parametrize(
+        "mu, sigma, field",
+        [
+            ("[NaN]", "[[1.0]]", "mu"),
+            ('["a"]', "[[1.0]]", "mu"),
+            ("[0.5, 0.5]", "[[1.0]]", "sigma"),
+        ],
+    )
+    def test_invalid_target_names_its_field(self, tmp_path, mu, sigma, field):
+        code, text = run(tmp_path, ["fit", "--mu", mu, "--sigma", sigma])
+        assert code == 2
+        err = strict_loads(text)
+        assert (err["error"], err["field"]) == ("InputError", field)
+
+
+class TestSampleCommand:
+    def test_theta_evaluated_once(self, tmp_path, monkeypatch):
+        """The radius in the diagnostics and the draws come from one
+        support computation, so theta is evaluated once."""
+        from thetagauss import sampler
+
+        calls = []
+
+        def counting_theta(*args, **kwargs):
+            calls.append(args)
+            return theta(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, "theta", counting_theta)
+        params = write_params(tmp_path / "p.json", [[0.3, 0.05], [0.05, 0.25]], [4.1, -2.7])
+        code, text = run(tmp_path, ["sample", "--params", params, "--count", "50"])
+        assert code == 0
+        assert len(calls) == 1
+        doc = strict_loads(text)
+        p = sampler.CanonicalPoint([4.1, -2.7], [[0.3, 0.05], [0.05, 0.25]])
+        assert doc["diagnostics"]["radius"] == sampler.support_radius(p, 1e-9)
+
+
 # -- golden documents -----------------------------------------------------------
 #
 # Every command on small fixed inputs, and the error paths, with the exit code

@@ -132,6 +132,34 @@ class TestFit:
             fit(MomentData([0.4], [[0.09]]), tol=1e-9)
 
 
+class TestShiftedTarget:
+    """X + m has parameters (u + Bm, B): fitting mu + m gives the same B
+    and u + Bm, in the same number of Newton steps."""
+
+    CASES = [
+        ([0.3, -0.2], [[1.0, 0.2], [0.2, 0.8]]),
+        ([-0.45], [[0.6]]),
+        ([0.1, 0.4, -0.3], [[0.9, 0.1, 0.0], [0.1, 1.2, -0.2], [0.0, -0.2, 0.7]]),
+        ([0.2, 0.1], [[0.3, 0.1], [0.1, 0.25]]),  # small variance: several steps
+    ]
+
+    @pytest.mark.parametrize("mu, sigma", CASES)
+    @pytest.mark.parametrize("scale", [1, 7, 40])
+    def test_shift_moves_u_by_B_m(self, mu, sigma, scale):
+        rng = np.random.default_rng(scale)
+        m = scale * rng.integers(-3, 4, len(mu))
+        base = fit(MomentData(mu, sigma))
+        moved = fit(MomentData(np.add(mu, m), sigma))
+        B = base.params.B
+        assert np.max(np.abs(moved.params.B - B)) < 1e-9
+        assert np.max(np.abs(moved.params.u - (base.params.u + B @ m))) < 1e-9 * max(
+            1.0, np.max(np.abs(B @ m))
+        )
+        assert moved.iterations == base.iterations
+        assert moved.grad_norm < 1e-9
+        assert moved.objective == pytest.approx(base.objective, rel=1e-9, abs=1e-9)
+
+
 class TestNewtonPieces:
     def test_gradient_matches_finite_differences(self, rng):
         h = 1e-5

@@ -4,12 +4,12 @@ import pytest
 import thetagauss as tg
 from thetagauss import CanonicalPoint, SamplerConfig
 from thetagauss.engine import TWO_PI, lattice_points, theta
-from thetagauss.errors import InvalidParameters, TooFewSamples
+from thetagauss.errors import InvalidParameters, ToleranceUnreachable, TooFewSamples
 from thetagauss.fitting import forward_moments
 from thetagauss import sampler
 from thetagauss.sampler import chi_square, draw, support_radius
 
-from oracles import brute_pearson, brute_pmf
+from oracles import brute_pearson, brute_pmf, brute_pmf_about
 
 PMF_AT_0 = 0.9204419514388919  # 1 / theta(0,1)
 
@@ -160,6 +160,71 @@ class TestOverflow:
         sample = np.tile([38, -19], (100, 1))
         with pytest.raises(tg.errors.ToleranceUnreachable):
             chi_square(sample, self.point())
+
+
+class TestCentring:
+    """The support is the ball about m = round(B^-1 u), the lattice point
+    nearest the mode, whatever the distance of the mean from the origin."""
+
+    SIGMA = np.array([[1.5, 0.4], [0.4, 0.8]])
+
+    def point(self, distance, angle=1.7):
+        """Continuous-Gaussian kernel with the mean at Mahalanobis
+        distance `distance` from the origin."""
+        B = np.linalg.inv(self.SIGMA) / TWO_PI
+        B = np.triu(B) + np.triu(B, 1).T
+        direction = np.linalg.cholesky(self.SIGMA) @ [np.cos(angle), np.sin(angle)]
+        return CanonicalPoint(B @ (distance * direction), B)
+
+    @staticmethod
+    def mode(p):
+        return np.round(np.linalg.solve(p.B, p.u)).astype(int)
+
+    @pytest.mark.parametrize("shift", [(1, 0), (3, -2), (-17, 29), (250, -400)])
+    def test_radius_invariant_under_integer_shift(self, shift):
+        for distance, angle in ((0.0, 0.0), (0.7, 2.0), (3.0, 4.5)):
+            p = self.point(distance, angle)
+            moved = CanonicalPoint(p.u + p.B @ np.array(shift, dtype=float), p.B)
+            for tail_eps in (1e-6, 1e-9):
+                assert abs(support_radius(moved, tail_eps) - support_radius(p, tail_eps)) <= 1
+
+    @pytest.mark.parametrize("distance, angle", [(25.0, 1.7), (30.0, 0.3), (36.0, 4.0)])
+    def test_dropped_mass_below_tail_eps(self, distance, angle):
+        p = self.point(distance, angle)
+        m = self.mode(p)
+        pmf = brute_pmf_about(p.u, p.B, m, K=14)
+        for tail_eps in (1e-6, 1e-9):
+            R = support_radius(p, tail_eps)
+            dropped = sum(q for n, q in pmf.items() if np.linalg.norm(np.subtract(n, m)) > R)
+            assert dropped < tail_eps
+            x = draw(p, 2000, SamplerConfig(tail_eps=tail_eps, seed=4))
+            assert np.all(np.linalg.norm(x - m, axis=1) <= R)
+
+    def test_support_size_flat_in_distance(self):
+        for angle in (0.3, 1.7, 4.0):
+            sizes = [
+                len(lattice_points(2, support_radius(self.point(distance, angle), 1e-9)))
+                for distance in (0.0, 5.0, 10.0, 20.0, 30.0, 37.0)
+            ]
+            assert max(sizes) <= 1.25 * min(sizes)
+
+    def test_far_chi_square_matches_brute_force(self):
+        p = self.point(25.0)
+        x = draw(p, 5000, SamplerConfig(seed=8))
+        stat, dof = chi_square(x, p)
+        want_stat, want_dof = brute_pearson(x, p.u, p.B, K=14, centre=self.mode(p))
+        assert dof == want_dof
+        assert stat == pytest.approx(want_stat, rel=1e-9)
+
+    def test_tail_eps_below_floor_after_centring(self):
+        # theta at the centred argument is of order one, so tail_eps * theta
+        # falls below the engine's floor; theta at the mean's own argument
+        # (of order e^312 here) used to lift it above
+        p = self.point(25.0)
+        with pytest.raises(ToleranceUnreachable):
+            support_radius(p, 1e-15)
+        with pytest.raises(ToleranceUnreachable):
+            draw(p, 10, SamplerConfig(tail_eps=1e-15))
 
 
 class TestChiSquareOracle:
