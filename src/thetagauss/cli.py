@@ -12,8 +12,8 @@ failure (errors.NumericalFailure); errors are reported as
 matrices row-major, and all floats are printed at 17 significant digits so
 the document is byte-deterministic and round-trips doubles exactly.  A
 result holding inf or nan is a numerical failure, never bare JSON.
-JSON true and false are not numbers here.  The radius of sample is the
-support radius about round(B^-1 u) (sampler.support_radius).
+JSON true and false are not numbers in g, n, u or B.  The radius of
+sample is the support radius about round(B^-1 u) (sampler.support_radius).
 
 The commands are one table, COMMANDS = {name: (run, allowed params keys)}.
 run(cfg) returns (result, inputs_echo, diagnostics); a command whose keys

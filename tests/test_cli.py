@@ -278,7 +278,7 @@ class TestSampleCommand:
     def test_theta_evaluated_once(self, tmp_path, monkeypatch):
         """The radius in the diagnostics and the draws come from one
         support computation, so theta is evaluated once."""
-        from thetagauss import sampler
+        from thetagauss import CanonicalPoint, sampler
 
         calls = []
 
@@ -292,7 +292,7 @@ class TestSampleCommand:
         assert code == 0
         assert len(calls) == 1
         doc = strict_loads(text)
-        p = sampler.CanonicalPoint([4.1, -2.7], [[0.3, 0.05], [0.05, 0.25]])
+        p = CanonicalPoint([4.1, -2.7], [[0.3, 0.05], [0.05, 0.25]])
         assert doc["diagnostics"]["radius"] == sampler.support_radius(p, 1e-9)
 
 
