@@ -146,6 +146,16 @@ def _is_number(x, kinds=(int, float)) -> bool:
     return isinstance(x, kinds) and not isinstance(x, bool)
 
 
+def _reject_booleans(value, field_name: str):
+    """Raise InputError if a JSON true/false sits anywhere in `value`: the
+    float conversion of a numeric field would read it as 1 or 0."""
+    if isinstance(value, bool):
+        raise InputError(field_name, f"{field_name} must hold numbers, not true/false")
+    if isinstance(value, list):
+        for x in value:
+            _reject_booleans(x, field_name)
+
+
 def _as_complex_scalar(value, field_name: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
@@ -345,6 +355,8 @@ def _run_entropy(cfg: JobConfig, u, B, eps):
 
 
 def _run_fit(cfg: JobConfig):
+    for name, value in (("mu", cfg.mu), ("sigma", cfg.sigma), ("data", cfg.params.get("data"))):
+        _reject_booleans(value, name)
     if "data" in cfg.params:
         data = cfg.params["data"]
         report = fit_from_sample(data, tol=cfg.tol)

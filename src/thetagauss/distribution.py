@@ -13,8 +13,11 @@ Moments come from theta derivatives (mu_a = (2*pi)^-|a| D^a_u theta / theta,
 in :func:`moment_table`, the one place that conversion is made), covariances
 of monomials from raw moments (:func:`moment_covariance`), cumulants from the
 exact multivariate moment-cumulant recursion, central moments from the
-binomial expansion over raw moments.  All operations are pure; instances are
-immutable apart from an internal moment memo.
+binomial expansion over raw moments.  The recursion's terms depend only on
+the multi-indices of the moment table, so :func:`moments_to_cumulants`
+plans them once per key tuple (a cached list of binomial coefficients and
+index pairs) and each call does only the arithmetic.  All operations are
+pure; instances are immutable apart from an internal moment memo.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +69,29 @@ class MomentKey:
             object.__setattr__(self, "a", MultiIndex(tuple(self.a)))
 
 
+@lru_cache(maxsize=64)
+def _cumulant_plan(keys: tuple, g: int) -> tuple:
+    """The terms of the moment-cumulant recursion for a table with these
+    keys: for each a with |a| >= 1, in order of |a|, the pair (a, terms)
+    with terms the triples (C(a', b), b + e_i, a' - b) of the sum, in the
+    lexicographic order of b (see moments_to_cumulants)."""
+    plan = []
+    for a in sorted((k for k in keys if sum(k) >= 1), key=sum):
+        i = next(k for k in range(g) if a[k] > 0)
+        ap = tuple(a[k] - (1 if k == i else 0) for k in range(g))
+        terms = tuple(
+            (
+                mi_binomial(ap, b),
+                tuple(b[k] + (1 if k == i else 0) for k in range(g)),
+                tuple(ap[k] - b[k] for k in range(g)),
+            )
+            for b in sub_indices(ap)
+            if b != ap
+        )
+        plan.append((a, terms))
+    return tuple(plan)
+
+
 def moments_to_cumulants(moments: dict, g: int) -> dict:
     """Cumulants kappa_a from raw moments mu_a = E[X^a], for every a with
     1 <= |a| and all componentwise-smaller moments present.
@@ -74,20 +101,17 @@ def moments_to_cumulants(moments: dict, g: int) -> dict:
 
         kappa_a = mu_a - sum_{b < a'} C(a', b) kappa_{b + e_i} mu_{a' - b}.
 
-    Table values may be scalars or equal-shape arrays (one entry per
-    point of a stack); the input table is never modified.
+    The terms depend only on the table's keys and g, so they are planned
+    once per key tuple and cached; each call does only the products and
+    subtractions.  Table values may be scalars or equal-shape arrays (one
+    entry per point of a stack); the input table is never modified.  A
+    missing ancestor moment raises KeyError.
     """
     kappa = {}
-    for a in sorted((k for k in moments if sum(k) >= 1), key=sum):
-        i = next(k for k in range(g) if a[k] > 0)
-        ap = tuple(a[k] - (1 if k == i else 0) for k in range(g))
+    for a, terms in _cumulant_plan(tuple(moments), g):
         acc = moments[a]
-        for b in sub_indices(ap):
-            if b == ap:
-                continue
-            bi = tuple(b[k] + (1 if k == i else 0) for k in range(g))
-            rest = tuple(ap[k] - b[k] for k in range(g))
-            acc = acc - mi_binomial(ap, b) * kappa[bi] * moments[rest]
+        for c, bi, rest in terms:
+            acc = acc - c * kappa[bi] * moments[rest]
         kappa[a] = acc
     return kappa
 

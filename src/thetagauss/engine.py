@@ -304,13 +304,16 @@ def lattice_points(g: int, radius: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _monomial_plan(idx: tuple, g: int) -> tuple[tuple, tuple]:
-    """Rows of the monomial table n^a for the multi-indices idx.
+def _monomial_plan(idx: tuple, g: int) -> tuple[tuple, np.ndarray, np.ndarray, tuple]:
+    """Rows of the monomial table n^a for the multi-indices idx, and the
+    rest of theta_du_stack's bookkeeping that depends on idx alone.
 
     Row 0 is n^0 = 1; every other row is a pair (parent row, coordinate i),
     its parent being a - e_i for the last nonzero coordinate i of a.
     Ancestors that idx lacks get rows too, parents before children.
-    Returns the pairs and the row of each multi-index of idx.
+    Returns the pairs, the row of each multi-index of idx, the column of
+    factors (2*pi)^|a| and the index of highest order (the first such),
+    which the truncation radius is certified for.
     """
     rows = {(0,) * g: 0}
     steps = []
@@ -323,8 +326,12 @@ def _monomial_plan(idx: tuple, g: int) -> tuple[tuple, tuple]:
             rows[a] = len(steps)
         return rows[a]
 
-    select = tuple(row(a) for a in idx)
-    return tuple(steps), select
+    select = np.array([row(a) for a in idx], dtype=np.intp)
+    scale = np.array([TWO_PI ** sum(a) for a in idx])[:, None]
+    select.setflags(write=False)
+    scale.setflags(write=False)
+    worst = max(idx, key=sum) if idx else (0,) * g
+    return tuple(steps), select, scale, worst
 
 
 def _monomials(cols: np.ndarray, steps: tuple) -> np.ndarray:
@@ -400,10 +407,8 @@ def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[1] != g:
         raise ValueError(f"U must be a k x {g} array of arguments")
-    idx = [exponents(a, g) for a in indices]
-    worst = max(idx, key=sum) if idx else (0,) * g
-    steps, select = _monomial_plan(tuple(idx), g)
-    scale = np.array([TWO_PI ** sum(a) for a in idx])[:, None]
+    idx = tuple(exponents(a, g) for a in indices)
+    steps, select, scale, worst = _monomial_plan(idx, g)
     B_planes = np.array([B.entries.real, B.entries.imag])
     out = np.empty((len(U), len(idx)), dtype=complex)
     order = np.argsort(np.einsum("ri,ri->r", U.real, U.real), kind="stable")
@@ -419,7 +424,7 @@ def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
             for lo in range(0, len(block), per_pass):
                 rows = block[lo : lo + per_pass]
                 sums = _ball_sums(pts, K, U[rows], steps, B_planes)
-                out[rows] = (scale * sums[list(select)]).T
+                out[rows] = (scale * sums[select]).T
     if not np.isfinite(out).all():
         raise ToleranceUnreachable(
             "theta or one of its derivatives is not finite in double precision "

@@ -3,15 +3,23 @@
 A multi-index a = (a_1, ..., a_g) of nonnegative integers labels the mixed
 partial of order a_i in the i-th variable; |a| = sum a_i is its order.
 Public entry points accept either a :class:`MultiIndex` or any sequence of
-ints and normalize through :func:`exponents`.
+ints and normalize through :func:`exponents`, which returns a tuple of
+nonnegative Python ints unchanged without building a MultiIndex.
+
+The index lists (:func:`indices_of_order`, :func:`indices_up_to`,
+:func:`moment_map_indices`) depend only on (g, order): each grade is built
+once and cached, and every call returns a fresh list, so a caller may
+modify what it gets.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -50,7 +58,9 @@ class MultiIndex:
 
 def exponents(a, g: int | None = None) -> tuple[int, ...]:
     """Normalize `a` to a validated exponent tuple, checking the dimension."""
-    if isinstance(a, MultiIndex):
+    if type(a) is tuple and all(type(x) is int and x >= 0 for x in a):
+        t = a  # already normal: what MultiIndex(a).a would rebuild
+    elif isinstance(a, MultiIndex):
         t = a.a
     elif isinstance(a, Iterable):
         t = MultiIndex(tuple(a)).a
@@ -88,22 +98,27 @@ def sub_indices(a: Sequence[int]) -> list[tuple[int, ...]]:
     return list(itertools.product(*[range(x + 1) for x in a]))
 
 
+@lru_cache(maxsize=128)
+def _grade(g: int, k: int) -> tuple[tuple[int, ...], ...]:
+    out = [a for a in itertools.product(range(k + 1), repeat=g) if sum(a) == k]
+    out.sort(reverse=True)
+    return tuple(out)
+
+
 def indices_of_order(g: int, k: int) -> list[tuple[int, ...]]:
     """All multi-indices of length g with |a| = k, lexicographically descending.
 
     This is the graded-lex convention used for projective coordinates:
     (2,0) before (1,1) before (0,2).
     """
-    out = [a for a in itertools.product(range(k + 1), repeat=g) if sum(a) == k]
-    out.sort(reverse=True)
-    return out
+    return list(_grade(g, k))
 
 
 def indices_up_to(g: int, max_order: int) -> list[tuple[int, ...]]:
     """All multi-indices with |a| <= max_order, graded then lex descending."""
     out: list[tuple[int, ...]] = []
     for k in range(max_order + 1):
-        out.extend(indices_of_order(g, k))
+        out.extend(_grade(g, k))
     return out
 
 
@@ -113,5 +128,5 @@ def moment_map_indices(g: int, d: int) -> list[tuple[int, ...]]:
     excluded), lex descending within each grade."""
     out: list[tuple[int, ...]] = [(0,) * g]
     for k in range(2, d + 1):
-        out.extend(indices_of_order(g, k))
+        out.extend(_grade(g, k))
     return out

@@ -274,6 +274,48 @@ class TestFitTargetFields:
         assert (err["error"], err["field"]) == ("InputError", field)
 
 
+class TestFitBooleans:
+    """A JSON true/false in the fit target is an input error on its field,
+    not a 1 or 0."""
+
+    @pytest.mark.parametrize(
+        "mu, sigma, field",
+        [
+            ("[true]", "[[1.0]]", "mu"),
+            ("[0.5, false]", "[[1.0, 0.0], [0.0, 1.0]]", "mu"),
+            ("[0.5]", "[[true]]", "sigma"),
+            ("[0.5, 0.5]", "[[1.0, 0.0], [false, 1.0]]", "sigma"),
+        ],
+    )
+    def test_flags(self, tmp_path, mu, sigma, field):
+        code, text = run(tmp_path, ["fit", "--mu", mu, "--sigma", sigma])
+        assert code == 2
+        err = strict_loads(text)
+        assert (err["error"], err["field"]) == ("InputError", field)
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"mu": [True], "sigma": [[1.0]]}, "mu"),
+            ({"mu": [0.5], "sigma": [[False]]}, "sigma"),
+            ({"data": [[0, 1], [1, True], [2, 0], [1, 1]]}, "data"),
+            ({"data": [0, 1, False, 2, 1]}, "data"),
+        ],
+    )
+    def test_params_file(self, tmp_path, doc, field):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(doc), encoding="utf-8")
+        code, text = run(tmp_path, ["fit", "--params", str(params)])
+        assert code == 2
+        err = strict_loads(text)
+        assert (err["error"], err["field"]) == ("InputError", field)
+
+    def test_numbers_still_fit(self, tmp_path):
+        code, text = run(tmp_path, ["fit", "--mu", "[1, 0.5]", "--sigma", "[[1, 0], [0, 1]]"])
+        assert code == 0
+        assert strict_loads(text)["result"]["converged"] is True
+
+
 class TestSampleCommand:
     def test_theta_evaluated_once(self, tmp_path, monkeypatch):
         """The radius in the diagnostics and the draws come from one

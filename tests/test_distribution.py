@@ -531,3 +531,61 @@ def test_overflowing_parameters_raise_typed_error():
         DiscreteGaussian(B @ np.array([38.0, -19.0]), B)
     with pytest.raises(tg.errors.ToleranceUnreachable):
         DiscreteGaussian([25.0], [[1.0]])
+
+
+def _recursion_term_by_term(moments, g):
+    """The moment-cumulant recursion written out term by term, each term's
+    indices and binomial computed where it is used."""
+    from itertools import product
+    from math import comb, prod
+
+    kappa = {}
+    for a in sorted((k for k in moments if sum(k) >= 1), key=sum):
+        i = next(k for k in range(g) if a[k] > 0)
+        ap = tuple(x - (k == i) for k, x in enumerate(a))
+        acc = moments[a]
+        for b in product(*[range(x + 1) for x in ap]):
+            if b == ap:
+                continue
+            c = prod(comb(x, y) for x, y in zip(ap, b))
+            bi = tuple(x + (k == i) for k, x in enumerate(b))
+            rest = tuple(x - y for x, y in zip(ap, b))
+            acc = acc - c * kappa[bi] * moments[rest]
+        kappa[a] = acc
+    return kappa
+
+
+class TestCumulantPlan:
+    def _table(self, rng, g, order):
+        u, B = random_complex_params(rng, g)
+        return DiscreteGaussian(u, B)._moment_table(order)
+
+    @pytest.mark.parametrize("g, order", [(1, 4), (2, 4), (3, 3)])
+    def test_bit_identical_to_term_by_term_recursion(self, rng, g, order):
+        table = self._table(rng, g, order)
+        assert tg.moments_to_cumulants(table, g) == _recursion_term_by_term(table, g)
+
+    def test_same_values_in_another_key_order(self, rng):
+        table = self._table(rng, 2, 4)
+        keys = list(table)
+        reordered = [keys[::-1], [keys[j] for j in rng.permutation(len(keys))]]
+        kappa = tg.moments_to_cumulants(table, 2)
+        for order in reordered:
+            other = tg.moments_to_cumulants({a: table[a] for a in order}, 2)
+            assert other == kappa
+
+    def test_same_stacked_values_in_another_key_order(self, rng):
+        _, B = random_complex_params(rng, 2)
+        U = np.array([random_complex_params(rng, 2)[0] for _ in range(3)])
+        idx = tg.multiindex.indices_up_to(2, 3)
+        table = moment_table(dict(zip(idx, tg.theta_du_stack(idx, U, B).T)))
+        kappa = tg.moments_to_cumulants(table, 2)
+        other = tg.moments_to_cumulants({a: table[a] for a in reversed(idx)}, 2)
+        assert all(np.array_equal(other[a], kappa[a]) for a in kappa)
+
+    @pytest.mark.parametrize("missing", [(1, 0), (0, 1), (1, 1), (2, 0)])
+    def test_missing_ancestor_moment_raises_key_error(self, rng, missing):
+        table = self._table(rng, 2, 3)
+        del table[missing]
+        with pytest.raises(KeyError):
+            tg.moments_to_cumulants(table, 2)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from thetagauss.multiindex import (
@@ -62,3 +63,69 @@ def test_unit_counts_each_listed_coordinate():
     assert unit(2, 0, 0) == (2, 0)
     assert unit(2, 1, 0) == unit(2, 0, 1) == (1, 1)
     assert unit(2) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (indices_of_order, (3, 2)),
+        (indices_up_to, (3, 2)),
+        (moment_map_indices, (2, 3)),
+    ],
+)
+def test_cached_index_lists_are_fresh_lists(build, args):
+    first = build(*args)
+    expected = list(first)
+    first.append((9,) * args[0])
+    first.reverse()
+    del first[0]
+    second = build(*args)
+    assert second == expected
+    assert second is not first
+
+
+@pytest.mark.parametrize(
+    "a, g, expected",
+    [
+        ((1, 2), None, (1, 2)),
+        ([1, 2], None, (1, 2)),
+        (MultiIndex((3, 0)), None, (3, 0)),
+        (2, None, (2,)),
+        (np.int64(2), None, (2,)),
+        ((True, 0), None, (1, 0)),
+        ((False,), None, (0,)),
+        ((np.int64(2), np.int32(1)), None, (2, 1)),
+        (np.array([1, 2]), None, (1, 2)),
+        ((1.0, 2), None, (1, 2)),
+        ((1.5, 0), None, (1, 0)),
+        ((-0.5, 1), None, (0, 1)),
+        ((1, 2), 2, (1, 2)),
+        ((), None, ()),
+        ((), 0, ()),
+    ],
+)
+def test_exponents_accepts_as_before(a, g, expected):
+    t = exponents(a, g)
+    assert t == expected
+    assert type(t) is tuple and all(type(x) is int for x in t)
+
+
+@pytest.mark.parametrize(
+    "a, g, error",
+    [
+        ((-1, 0), None, ValueError),
+        ([0, -2], None, ValueError),
+        (-1, None, ValueError),
+        ((np.int64(-1),), None, ValueError),
+        ((True, -1), None, ValueError),
+        ((float("nan"),), None, ValueError),
+        ((1, 2), 3, ValueError),
+        ([1, 2], 1, ValueError),
+        (MultiIndex((1, 2)), 3, ValueError),
+        (None, None, TypeError),
+        ((1, None), None, TypeError),
+    ],
+)
+def test_exponents_rejects_as_before(a, g, error):
+    with pytest.raises(error):
+        exponents(a, g)
