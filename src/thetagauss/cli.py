@@ -13,7 +13,9 @@ matrices row-major, and all floats are printed at 17 significant digits so
 the document is byte-deterministic and round-trips doubles exactly.  A
 result holding inf or nan is a numerical failure, never bare JSON.
 JSON true and false are not numbers in g, n, u or B.  The radius of
-sample is the support radius about round(B^-1 u) (sampler.support_radius).
+sample is the support radius about round(B^-1 u) (sampler.support_radius);
+that of pmf, moments and entropy is the largest ball the distribution
+summed (DiscreteGaussian.sums.radius).
 
 The commands are one table, COMMANDS = {name: (run, allowed params keys)}.
 run(cfg) returns (result, inputs_echo, diagnostics); a command whose keys
@@ -52,7 +54,7 @@ from .geometry import (
     statistical_map_stack,
     verify_cubic,
 )
-from .multiindex import moment_map_indices, unit
+from .multiindex import moment_map_indices
 from .sampler import RNG_ALGORITHM, SamplerConfig, _draw
 
 
@@ -332,26 +334,23 @@ def _run_pmf(cfg: JobConfig, u, B, eps):
     if not isinstance(n, list) or not all(_is_number(x, int) for x in n):
         raise InputError("n", "n must be a list of integers")
     d = DiscreteGaussian(u, B, eps)
-    budget = truncation_radius(d.point.B, d.point.u, None, eps)
     result = {"pmf": _pair(d.pmf(n))}
-    return result, {"n": [int(x) for x in n]}, _diag(eps=eps, radius=budget.radius)
+    return result, {"n": [int(x) for x in n]}, _diag(eps=eps, radius=d.sums.radius)
 
 
 @_at_point
 def _run_moments(cfg: JobConfig, u, B, eps):
     d = DiscreteGaussian(u, B, eps)
-    budget = truncation_radius(d.point.B, d.point.u, unit(d.g, 0, 0), eps)
     mean, cov = d.mean_cov()
     result = {"mean": _pairs_vector(mean), "covariance": _pairs_matrix(cov)}
-    return result, {}, _diag(eps=eps, radius=budget.radius)
+    return result, {}, _diag(eps=eps, radius=d.sums.radius)
 
 
 @_at_point
 def _run_entropy(cfg: JobConfig, u, B, eps):
     d = DiscreteGaussian(u, B, eps)
-    budget = truncation_radius(d.point.B, d.point.u, None, eps)
     result = {"entropy": _pair(d.entropy()), "branch": "principal"}
-    return result, {}, _diag(eps=eps, radius=budget.radius)
+    return result, {}, _diag(eps=eps, radius=d.sums.radius)
 
 
 def _run_fit(cfg: JobConfig):

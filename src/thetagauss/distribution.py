@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .engine import TWO_PI, ThetaPoint, theta, theta_du_many
+from .engine import TWO_PI, PointSums, ThetaPoint, theta
 from .errors import DivisorHit, NotUnimodular
 from .multiindex import (
     MultiIndex,
@@ -171,19 +171,28 @@ class DiscreteGaussian:
     Construction fails with DivisorHit when |theta| <= 10*eps: every
     statistic divides by theta, so points on (or numerically at) the theta
     divisor are invalid parameters.
+
+    theta and every derivative table come from one engine.PointSums, `sums`,
+    so each lattice point is summed once however many orders are asked
+    for; `sums.radius` is the largest certified radius summed so far.  Its
+    memo holds 16 bytes (one complex summand) per point of that ball, for
+    g >= 2 no more than the cached int64 lattice array it indexes.
     """
 
-    __slots__ = ("point", "theta_value", "eps", "_moments", "_moments_order", "_cumulants")
+    __slots__ = ("point", "theta_value", "eps", "sums", "_moments", "_moments_order", "_cumulants")
 
     def __init__(self, u, B, eps: float = 1e-12):
         point = ThetaPoint(u, B)
-        value = theta(point, eps)
+        sums = PointSums(point, eps)
+        zero = (0,) * point.g
+        value = sums.table([zero])[zero]
         if abs(value) <= 10.0 * eps:
             raise DivisorHit(
                 f"|theta(u,B)| = {abs(value):.3e} <= 10*eps; parameters lie on "
                 "the theta divisor"
             )
         self.point = point
+        self.sums = sums
         self.theta_value = value
         self.eps = eps
         self._moments = {}
@@ -212,7 +221,7 @@ class DiscreteGaussian:
         # Normalized by the stored theta_value: the derivative table's a = 0
         # entry matches it only to rounding.
         if order > self._moments_order:
-            derivs = theta_du_many(indices_up_to(self.g, order), self.point, self.eps)
+            derivs = self.sums.table(indices_up_to(self.g, order))
             self._moments = moment_table(derivs, self.theta_value)
             self._moments_order = order
             self._cumulants = {}  # cumulant tables came from the old moments

@@ -19,9 +19,18 @@ is bounded shell by shell in the sup norm, (2k+1)^g - (2k-1)^g points per
 shell.  Lattice points are enumerated by increasing ||n||^2, lexicographic
 within shells, so every sum has a fixed deterministic order.
 
-Evaluation is stacked.  theta_du_stack takes k arguments u (the rows of a
-k x g array) at one B and returns D^a theta for every row and multi-index;
-theta, theta_du and theta_du_many are its k = 1 case.  Rows are sorted by
+One point is evaluated through PointSums, which keeps the summands of its
+point over the largest certified ball asked for so far.  Because the
+points are shell-ordered, a smaller ball is a prefix of a larger one: a
+table of any order forms summands only for the points past the held
+prefix and contracts the prefix it needs, so theta, the order-2 and the
+order-4 tables of one discrete Gaussian sum each lattice point once.
+theta, theta_du and theta_du_many are one-shot PointSums.
+
+Many arguments are evaluated stacked.  theta_du_stack takes k arguments u
+(the rows of a k x g array) at one B and returns D^a theta for every row
+and multi-index, with the summand formula (_summands) and the tiled
+contraction (_tiled_sums) that PointSums uses.  Rows are sorted by
 rho = ||Re u|| and cut into blocks of STACK_BLOCK rows, and each block is
 summed over one ball, with the radius truncation_radius certifies at the
 block's largest rho for the highest order asked for.  That radius is a
@@ -49,7 +58,8 @@ exact while the entries are integers below 2^53.  A value that is not
 finite in double precision (the summands overflow) raises
 ToleranceUnreachable.
 
-All functions are pure; cached lattice enumerations are immutable.
+All functions are pure; cached lattice enumerations are immutable, and a
+PointSums memo only grows, by whole replacement.
 """
 
 from __future__ import annotations
@@ -355,34 +365,114 @@ def _phase_tables(Y: np.ndarray, K: int) -> np.ndarray:
     return tables
 
 
-def _ball_sums(pts: np.ndarray, K: int, V: np.ndarray, steps: tuple, B_planes: np.ndarray):
-    """sum_n n^a e(n.v - 1/2 n^T B n) over the lattice points `pts` (int,
-    N x g, every |n_i| <= K) for each row a of the monomial table `steps`
-    (rows of the result) and each argument v, a row of V (columns).
-
-    B_planes holds Re B and Im B.  Terms are formed and contracted in tiles
-    of at most TILE_ELEMENTS doubles; see the module docstring.
+def _summands(pts, x, re_V, tables, K: int, B_planes) -> np.ndarray:
+    """e(n.v - 1/2 n^T B n) at the lattice points `pts` (int, N x g, every
+    |n_i| <= K; x the same points as floats) for each argument v, a column
+    of re_V = Re V^T with its phase tables (_phase_tables(Im V, K)).
+    Returns an N x k complex array.  B_planes holds Re B and Im B.
     """
-    k, g = V.shape
-    re_V = np.ascontiguousarray(V.real.T)
-    tables = _phase_tables(V.imag, K)
+    quad = np.einsum("cpi,pi->cp", x @ B_planes, x)
+    # magnitude exp(2 pi (n.Re v - 1/2 n^T Re B n)), points x arguments
+    mag = x @ re_V
+    mag -= 0.5 * quad[0, :, None]
+    mag *= TWO_PI
+    np.exp(mag, out=mag)
+    # times the phase exp(-i pi n^T Im B n) prod_i exp(2 pi i n_i Im v_i)
+    terms = np.exp(-1j * np.pi * quad[1])[:, None] * mag
+    for i in range(pts.shape[1]):
+        terms *= tables[i, pts[:, i] + K]
+    return terms
+
+
+def _tiled_sums(pts: np.ndarray, k: int, steps: tuple, terms_of) -> np.ndarray:
+    """sum_n n^a t_n over the lattice points `pts` for each row a of the
+    monomial table `steps` (rows of the result) and each of k arguments
+    (columns), where terms_of(lo, tile, x) returns the N x k complex terms
+    t_n of the tile pts[lo : lo + N] (x: the tile as floats).
+
+    The points are taken in tiles whose monomial table plus terms hold at
+    most TILE_ELEMENTS doubles, each contracted in one real matrix product.
+    """
     step = max(1, TILE_ELEMENTS // (len(steps) + 1 + 2 * k))
     sums = np.zeros((len(steps) + 1, 2 * k))
     for lo in range(0, len(pts), step):
         tile = pts[lo : lo + step]
         x = tile.astype(float)
-        quad = np.einsum("cpi,pi->cp", x @ B_planes, x)
-        # magnitude exp(2 pi (n.Re v - 1/2 n^T Re B n)), points x arguments
-        mag = x @ re_V
-        mag -= 0.5 * quad[0, :, None]
-        mag *= TWO_PI
-        np.exp(mag, out=mag)
-        # times the phase exp(-i pi n^T Im B n) prod_i exp(2 pi i n_i Im v_i)
-        terms = np.exp(-1j * np.pi * quad[1])[:, None] * mag
-        for i in range(g):
-            terms *= tables[i, tile[:, i] + K]
-        sums += _monomials(x.T, steps) @ terms.view(float)
+        sums += _monomials(x.T, steps) @ terms_of(lo, tile, x).view(float)
     return sums.view(complex)
+
+
+def _require_finite(values: np.ndarray):
+    if not np.isfinite(values).all():
+        raise ToleranceUnreachable(
+            "theta or one of its derivatives is not finite in double precision "
+            "(the summands overflow)"
+        )
+
+
+class PointSums:
+    """Certified tables D^a_u theta at one point (u, B), all from one memo
+    of the point's summands.
+
+    The memo holds e(n.u - 1/2 n^T B n) over the largest certified ball
+    asked for so far, in the shell order of lattice_points, and that
+    ball's radius.  A table certifies its radius for the highest order of
+    its indices, forms summands only for the points past the held prefix
+    (a smaller ball is a prefix of a larger one) and contracts the ball's
+    prefix with the monomial table, in the tiles theta_du_stack uses, so a
+    table is bit-identical to a one-shot one and independent of the order
+    in which tables were asked for: a summand does not depend on the ball
+    it was formed for, since the phase-table entry at j is the same for
+    every table radius K >= |j|.  The memo, (radius, summands), is
+    replaced as one object, so a race between threads only recomputes.
+    """
+
+    __slots__ = ("point", "eps", "_held")
+
+    def __init__(self, point: ThetaPoint, eps: float = 1e-12):
+        self.point = point
+        self.eps = eps
+        self._held = (None, np.empty((0, 1), dtype=complex))
+
+    @property
+    def radius(self):
+        """Radius of the largest ball summed so far (None before any table)."""
+        return self._held[0]
+
+    def table(self, indices) -> dict:
+        """D^a_u theta, to certified absolute error < eps, for every
+        multi-index a in `indices`, keyed by exponent tuple.
+
+        Raises ToleranceUnreachable when a value is not finite in double
+        precision (the summands overflow) or a certificate cannot be issued.
+        """
+        p = self.point
+        idx = tuple(exponents(a, p.g) for a in indices)
+        steps, select, scale, worst = _monomial_plan(idx, p.g)
+        radius = truncation_radius(p.B, p.u, worst, self.eps).radius
+        pts = lattice_points(p.g, radius)
+        terms = self._held[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if len(pts) > len(terms):
+                terms = np.concatenate([terms, self._summands_past(pts, len(terms), int(radius))])
+                self._held = (radius, terms)
+            sums = _tiled_sums(pts, 1, steps, lambda lo, tile, x: terms[lo : lo + len(tile)])
+        values = (scale * sums[select])[:, 0]
+        _require_finite(values)
+        return {a: complex(v) for a, v in zip(idx, values)}
+
+    def _summands_past(self, pts: np.ndarray, start: int, K: int) -> np.ndarray:
+        # in chunks whose float points and B products hold at most
+        # TILE_ELEMENTS doubles
+        B = self.point.B.entries
+        B_planes = np.array([B.real, B.imag])
+        V = self.point.u[None, :]
+        re_V, tables = np.ascontiguousarray(V.real.T), _phase_tables(V.imag, K)
+        step = max(1, TILE_ELEMENTS // (3 * self.point.g))
+        chunks = [pts[lo : lo + step] for lo in range(start, len(pts), step)]
+        return np.concatenate(
+            [_summands(c, c.astype(float), re_V, tables, K, B_planes) for c in chunks]
+        )
 
 
 def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
@@ -423,19 +513,23 @@ def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, len(block), per_pass):
                 rows = block[lo : lo + per_pass]
-                sums = _ball_sums(pts, K, U[rows], steps, B_planes)
+                re_V = np.ascontiguousarray(U[rows].real.T)
+                tables = _phase_tables(U[rows].imag, K)
+                sums = _tiled_sums(
+                    pts,
+                    len(rows),
+                    steps,
+                    lambda _, tile, x: _summands(tile, x, re_V, tables, K, B_planes),
+                )
                 out[rows] = (scale * sums[select]).T
-    if not np.isfinite(out).all():
-        raise ToleranceUnreachable(
-            "theta or one of its derivatives is not finite in double precision "
-            "(the summands overflow)"
-        )
+    _require_finite(out)
     return out
 
 
 def theta(p: ThetaPoint, eps: float = 1e-12) -> complex:
     """theta(u, B) to certified absolute error < eps."""
-    return complex(theta_du_stack([(0,) * p.g], p.u[None, :], p.B, eps)[0, 0])
+    zero = (0,) * p.g
+    return PointSums(p, eps).table([zero])[zero]
 
 
 def theta_du(a, p: ThetaPoint, eps: float = 1e-12) -> complex:
@@ -443,7 +537,8 @@ def theta_du(a, p: ThetaPoint, eps: float = 1e-12) -> complex:
 
     a is a multi-index over the g coordinates of u.
     """
-    return complex(theta_du_stack([a], p.u[None, :], p.B, eps)[0, 0])
+    a = exponents(a, p.g)
+    return PointSums(p, eps).table([a])[a]
 
 
 def theta_du_many(indices, p: ThetaPoint, eps: float = 1e-12) -> dict:
@@ -452,9 +547,7 @@ def theta_du_many(indices, p: ThetaPoint, eps: float = 1e-12) -> dict:
     A single radius certified for the highest derivative order covers the
     lower orders as well (their summand bounds are smaller shellwise).
     """
-    idx = [exponents(a, p.g) for a in indices]
-    values = theta_du_stack(idx, p.u[None, :], p.B, eps)[0]
-    return {a: complex(v) for a, v in zip(idx, values)}
+    return PointSums(p, eps).table(indices)
 
 
 def theta_derivatives(p: ThetaPoint, max_order: int, eps: float = 1e-12) -> dict:
