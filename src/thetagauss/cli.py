@@ -8,29 +8,35 @@ to --output or standard output.  Exit codes: 0 success, 2 input error (a
 bad flag or params file, errors.InvalidParameters, ValueError, or an
 --output that cannot be written, reported on standard output), 3 numerical
 failure (errors.NumericalFailure); errors are reported as
-{error, field, message}.  Complex numbers are always [re, im] pairs,
-matrices row-major, and all floats are printed at 17 significant digits so
-the document is byte-deterministic and round-trips doubles exactly.  A
-result holding inf or nan is a numerical failure, never bare JSON.
-JSON true and false are not numbers in g, n, u or B.  The radius of
-sample is the support radius about round(B^-1 u) (sampler.support_radius);
-that of pmf, moments and entropy is the largest ball the distribution
-summed (DiscreteGaussian.sums.radius).
+{error, field, message}.
+
+The wire format is stated once, by one decoder and one encoder.  _numbers
+decodes every numeric field of a params file or flag (g, u, B, n, mu, sigma
+and data): a complex number is an [re, im] pair and a matrix is row-major,
+and JSON true/false or any other non-number, a value that is not finite or
+beyond the float range, and a wrong shape are input errors on the field.
+dumps encodes what the library returns as it is: complex scalars and arrays
+as [re, im] pairs, numpy arrays as nested lists, and every float at 17
+significant digits, so the document is byte-deterministic and round-trips
+doubles exactly.  A result holding inf or nan is a numerical failure, never
+bare JSON.  The radius of sample is the support radius about round(B^-1 u)
+(sampler.support_radius); that of pmf, moments and entropy is the largest
+ball the distribution summed (DiscreteGaussian.sums.radius).
 
 The commands are one table, COMMANDS = {name: (run, allowed params keys)}.
-run(cfg) returns (result, inputs_echo, diagnostics); a command whose keys
-include "B" requires --params.  theta, pmf, moments, entropy and map
-evaluate at one point (u, B) and share its prologue, _at_point.
+run(args) takes the namespace of parse_config and returns (result,
+inputs_echo, diagnostics); a command whose keys include "B" requires
+--params.  theta, pmf, moments, entropy and map evaluate at one point (u, B)
+and share its prologue, _at_point.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -64,39 +70,20 @@ class InputError(InvalidParameters):
         self.field = field_name
 
 
-@dataclass
-class JobConfig:
-    command: str
-    params_file: str | None = None
-    tol: float = 1e-9
-    seed: int = 0
-    output: str | None = None
-    mu: object = None
-    sigma: object = None
-    count: int | None = None
-    d: int = 2
-    trials: int = 200
-    params: dict = field(default_factory=dict)
-
-
 # -- deterministic JSON output ------------------------------------------------
 
 
 def _dump(obj, out: list):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()  # Python scalars, arrays as nested lists
+    if isinstance(obj, complex):
+        obj = [obj.real, obj.imag]
+    if obj is None or isinstance(obj, (bool, int, str)):
         out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         if not math.isfinite(obj):
-            raise NumericalFailure(f"the result holds {float(obj)}, which JSON cannot encode")
-        out.append(format(float(obj), ".17g"))
+            raise NumericalFailure(f"the result holds {obj}, which JSON cannot encode")
+        out.append(format(obj, ".17g"))
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -106,9 +93,9 @@ def _dump(obj, out: list):
             out.append(": ")
             _dump(v, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, (list, tuple)):
         out.append("[")
-        for i, v in enumerate(list(obj)):
+        for i, v in enumerate(obj):
             if i:
                 out.append(", ")
             _dump(v, out)
@@ -118,7 +105,8 @@ def _dump(obj, out: list):
 
 
 def dumps(obj) -> str:
-    """JSON text with floats at 17 significant digits, insertion-ordered.
+    """JSON text with floats at 17 significant digits, insertion-ordered;
+    complex numbers are [re, im] pairs and numpy arrays nested lists.
 
     Raises NumericalFailure on a float that is not finite.
     """
@@ -127,72 +115,47 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
-def _pair(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _pairs_vector(v) -> list:
-    return [_pair(z) for z in np.atleast_1d(v)]
-
-
-def _pairs_matrix(M) -> list:
-    return [[_pair(z) for z in row] for row in np.atleast_2d(M)]
-
-
 # -- input parsing -------------------------------------------------------------
 
-
-def _is_number(x, kinds=(int, float)) -> bool:
-    """x is one of `kinds` and not a JSON true/false (bool subclasses int)."""
-    return isinstance(x, kinds) and not isinstance(x, bool)
+_KINDS = {int: "integers", float: "numbers", complex: "[re, im] pairs"}
 
 
-def _reject_booleans(value, field_name: str):
-    """Raise InputError if a JSON true/false sits anywhere in `value`: the
-    float conversion of a numeric field would read it as 1 or 0."""
-    if isinstance(value, bool):
-        raise InputError(field_name, f"{field_name} must hold numbers, not true/false")
-    if isinstance(value, list):
-        for x in value:
-            _reject_booleans(x, field_name)
+def _leaves(value) -> list:
+    return [x for item in value for x in _leaves(item)] if isinstance(value, list) else [value]
 
 
-def _as_complex_scalar(value, field_name: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(_is_number(x) for x in value)
-    ):
-        raise InputError(field_name, "complex numbers must be [re, im] pairs")
+def _numbers(value, field: str, kind: type, shape: tuple) -> np.ndarray:
+    """The JSON value of `field` as a finite array of `kind` (int, float or
+    complex, a complex number being an [re, im] pair) and `shape`, in
+    which None is a free length.
+
+    Raises InputError on the field for a missing value, JSON true/false or
+    any other non-number, a value that is not finite or beyond the float
+    (for int, the int64) range, and a wrong shape.
+    """
+    what = _KINDS[kind]
+    if value is None:
+        raise InputError(field, f"{field} is required")
+    allowed = (int,) if kind is int else (int, float)  # bool is not one of them
+    bad = [x for x in _leaves(value) if type(x) not in allowed]
+    if bad:
+        raise InputError(field, f"{field} must hold {what}, not {json.dumps(bad[0])}")
+    want = shape + (2,) if kind is complex else shape
     try:
-        z = complex(value[0], value[1])
-        finite = cmath.isfinite(z)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise InputError(field_name, "complex numbers must be finite")
-    return z
-
-
-def _parse_u(value, g: int) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != g:
-        raise InputError("u", f"u must be a list of {g} [re, im] pairs")
-    return np.array([_as_complex_scalar(z, "u") for z in value])
-
-
-def _parse_B(value, g: int) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != g:
-        raise InputError("B", f"B must be a {g}x{g} row-major matrix of [re, im] pairs")
-    B = np.empty((g, g), dtype=complex)
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != g:
-            raise InputError("B", f"B must be a {g}x{g} row-major matrix of [re, im] pairs")
-        for j, z in enumerate(row):
-            B[i, j] = _as_complex_scalar(z, "B")
-    if not np.array_equal(B, B.T):
-        raise InputError("B", "B must be symmetric: B[i][j] == B[j][i]")
-    return B
+        array = np.array(value, dtype=np.int64 if kind is int else float)
+    except OverflowError:
+        raise InputError(field, f"{field} must hold finite {what}")
+    except ValueError:  # rows of different lengths
+        array = None
+    if array is None or array.ndim != len(want) or any(
+        n not in (None, m) for n, m in zip(want, array.shape)
+    ):
+        dims = " x ".join("N" if n is None else str(n) for n in shape)
+        form = f"an array of {what} of shape {dims}" if shape else f"a single {what[:-1]}"
+        raise InputError(field, f"{field} must be {form}")
+    if not np.isfinite(array).all():
+        raise InputError(field, f"{field} must hold finite {what}")
+    return array.view(complex)[..., 0] if kind is complex else array
 
 
 def _load_params_file(path: str, command: str) -> dict:
@@ -216,18 +179,15 @@ def _load_params_file(path: str, command: str) -> dict:
     return raw
 
 
-def _require_theta_params(cfg: JobConfig) -> tuple[np.ndarray, np.ndarray]:
-    raw = cfg.params
-    if "g" not in raw or not _is_number(raw["g"], int) or raw["g"] < 1:
+def _point(params: dict) -> tuple[np.ndarray, np.ndarray]:
+    """u (zero when the params file has none) and B of a params file."""
+    g = int(_numbers(params.get("g"), "g", int, ()))
+    if g < 1:
         raise InputError("g", "g must be a positive integer")
-    g = raw["g"]
-    if "B" not in raw:
-        raise InputError("B", "B is required")
-    B = _parse_B(raw["B"], g)
-    if "u" in raw:
-        u = _parse_u(raw["u"], g)
-    else:
-        u = np.zeros(g, dtype=complex)
+    B = _numbers(params.get("B"), "B", complex, (g, g))
+    if not np.array_equal(B, B.T):
+        raise InputError("B", "B must be symmetric: B[i][j] == B[j][i]")
+    u = _numbers(params["u"], "u", complex, (g,)) if "u" in params else np.zeros(g, dtype=complex)
     return u, B
 
 
@@ -244,8 +204,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError("argv", message)
 
 
-def parse_config(argv) -> JobConfig:
-    """Validate flags and the params file into a JobConfig."""
+def parse_config(argv) -> argparse.Namespace:
+    """The flags of argv, with --mu and --sigma read as JSON and `params`
+    the object of the params file ({} without --params)."""
     parser = _Parser(prog="thetagauss", add_help=True)
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--params", dest="params_file")
@@ -257,42 +218,22 @@ def parse_config(argv) -> JobConfig:
     parser.add_argument("--d", type=int, default=2)
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--output")
-    ns = parser.parse_args(argv)
+    args = parser.parse_args(argv)
 
-    cfg = JobConfig(
-        command=ns.command,
-        params_file=ns.params_file,
-        tol=ns.tol,
-        seed=ns.seed,
-        output=ns.output,
-        count=ns.count,
-        d=ns.d,
-        trials=ns.trials,
-    )
-    if not 0 < cfg.tol < math.inf:
+    if not 0 < args.tol < math.inf:
         raise InputError("tol", "tol must be positive and finite")
-    if ns.mu is not None:
-        try:
-            cfg.mu = json.loads(ns.mu)
-        except json.JSONDecodeError:
-            raise InputError("mu", "--mu must be a JSON array")
-    if ns.sigma is not None:
-        try:
-            cfg.sigma = json.loads(ns.sigma)
-        except json.JSONDecodeError:
-            raise InputError("sigma", "--sigma must be a JSON matrix")
-    if cfg.params_file is not None:
-        cfg.params = _load_params_file(cfg.params_file, cfg.command)
-    if cfg.command == "fit":
-        if cfg.mu is None and "mu" in cfg.params:
-            cfg.mu = cfg.params["mu"]
-        if cfg.sigma is None and "sigma" in cfg.params:
-            cfg.sigma = cfg.params["sigma"]
-        if ("mu" in cfg.params) != ("sigma" in cfg.params) and "data" not in cfg.params:
-            raise InputError("sigma", "fit needs both mu and sigma (or data)")
-    if "B" in COMMANDS[cfg.command][1] and not cfg.params:
-        raise InputError("params_file", f"{cfg.command} requires --params")
-    return cfg
+    for name in ("mu", "sigma"):
+        if getattr(args, name) is not None:
+            try:
+                setattr(args, name, json.loads(getattr(args, name)))
+            except json.JSONDecodeError:
+                raise InputError(name, f"--{name} must be JSON text")
+    args.params = {}
+    if args.params_file is not None:
+        args.params = _load_params_file(args.params_file, args.command)
+    if "B" in COMMANDS[args.command][1] and not args.params:
+        raise InputError("params_file", f"{args.command} requires --params")
+    return args
 
 
 # -- command execution ----------------------------------------------------------
@@ -305,120 +246,89 @@ def _diag(eps=None, radius=None, iterations=None) -> dict:
 def _at_point(body):
     """Wrap the body of a command evaluated at one point (u, B).
 
-    The prologue parses u and B from the params file and sets eps from
-    --tol; body(cfg, u, B, eps) returns (result, the command's own echoed
+    The prologue decodes u and B from the params file and sets eps from
+    --tol; body(args, u, B, eps) returns (result, the command's own echoed
     inputs, diagnostics), and the echo is g, u, B, those inputs, then tol.
     """
 
-    def run(cfg: JobConfig):
-        u, B = _require_theta_params(cfg)
-        result, inputs, diagnostics = body(cfg, u, B, max(EPS_FLOOR, cfg.tol))
-        echo = {"g": len(B), "u": _pairs_vector(u), "B": _pairs_matrix(B), **inputs, "tol": cfg.tol}
-        return result, echo, diagnostics
+    def run(args):
+        u, B = _point(args.params)
+        result, inputs, diagnostics = body(args, u, B, max(EPS_FLOOR, args.tol))
+        return result, {"g": len(B), "u": u, "B": B, **inputs, "tol": args.tol}, diagnostics
 
     return run
 
 
 @_at_point
-def _run_theta(cfg: JobConfig, u, B, eps):
+def _run_theta(args, u, B, eps):
     p = ThetaPoint(u, B)
     budget = truncation_radius(p.B, p.u, None, eps)
-    return {"theta": _pair(theta(p, eps))}, {}, _diag(eps=eps, radius=budget.radius)
+    return {"theta": theta(p, eps)}, {}, _diag(eps=eps, radius=budget.radius)
 
 
 @_at_point
-def _run_pmf(cfg: JobConfig, u, B, eps):
-    if "n" not in cfg.params:
-        raise InputError("n", "pmf requires the lattice point n")
-    n = cfg.params["n"]
-    if not isinstance(n, list) or not all(_is_number(x, int) for x in n):
-        raise InputError("n", "n must be a list of integers")
+def _run_pmf(args, u, B, eps):
+    n = _numbers(args.params.get("n"), "n", int, (len(B),))
     d = DiscreteGaussian(u, B, eps)
-    result = {"pmf": _pair(d.pmf(n))}
-    return result, {"n": [int(x) for x in n]}, _diag(eps=eps, radius=d.sums.radius)
+    return {"pmf": d.pmf(n)}, {"n": n}, _diag(eps=eps, radius=d.sums.radius)
 
 
 @_at_point
-def _run_moments(cfg: JobConfig, u, B, eps):
+def _run_moments(args, u, B, eps):
     d = DiscreteGaussian(u, B, eps)
     mean, cov = d.mean_cov()
-    result = {"mean": _pairs_vector(mean), "covariance": _pairs_matrix(cov)}
-    return result, {}, _diag(eps=eps, radius=d.sums.radius)
+    return {"mean": mean, "covariance": cov}, {}, _diag(eps=eps, radius=d.sums.radius)
 
 
 @_at_point
-def _run_entropy(cfg: JobConfig, u, B, eps):
+def _run_entropy(args, u, B, eps):
     d = DiscreteGaussian(u, B, eps)
-    result = {"entropy": _pair(d.entropy()), "branch": "principal"}
+    result = {"entropy": d.entropy(), "branch": "principal"}
     return result, {}, _diag(eps=eps, radius=d.sums.radius)
 
 
-def _run_fit(cfg: JobConfig):
-    for name, value in (("mu", cfg.mu), ("sigma", cfg.sigma), ("data", cfg.params.get("data"))):
-        _reject_booleans(value, name)
-    if "data" in cfg.params:
-        data = cfg.params["data"]
-        report = fit_from_sample(data, tol=cfg.tol)
-        echo = {"data": data, "tol": cfg.tol}
+def _run_fit(args):
+    params = args.params
+    if "data" in params:
+        nested = isinstance(params["data"], list) and any(isinstance(x, list) for x in params["data"])
+        data = _numbers(params["data"], "data", float, (None, None) if nested else (None,))
+        report = fit_from_sample(data, tol=args.tol)
+        echo = {"data": data, "tol": args.tol}
     else:
-        if cfg.mu is None or cfg.sigma is None:
-            raise InputError("mu", "fit requires --mu and --sigma (or a data file)")
-        try:
-            mu = np.atleast_1d(np.asarray(cfg.mu, dtype=float))
-            if not np.isfinite(mu).all():
-                raise ValueError("mu must have finite entries")
-        except (TypeError, ValueError) as exc:
-            raise InputError("mu", f"invalid moment target: {exc}")
-        try:
-            target = MomentData(mu, np.asarray(cfg.sigma, dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise InputError("sigma", f"invalid moment target: {exc}")
-        report = fit(target, tol=cfg.tol)
-        echo = {
-            "mu": [float(x) for x in target.mu],
-            "sigma": [[float(x) for x in row] for row in target.sigma],
-            "tol": cfg.tol,
-        }
+        mu = _numbers(params.get("mu") if args.mu is None else args.mu, "mu", float, (None,))
+        sigma = params.get("sigma") if args.sigma is None else args.sigma
+        target = MomentData(mu, _numbers(sigma, "sigma", float, (len(mu), len(mu))))
+        report = fit(target, tol=args.tol)
+        echo = {"mu": target.mu, "sigma": target.sigma, "tol": args.tol}
     result = {
-        "u": [float(x) for x in report.params.u],
-        "B": [[float(x) for x in row] for row in report.params.B],
+        "u": report.params.u,
+        "B": report.params.B,
         "grad_norm": report.grad_norm,
         "objective": report.objective,
         "converged": report.converged,
     }
-    return result, echo, _diag(eps=1e-4 * cfg.tol, iterations=report.iterations)
+    return result, echo, _diag(eps=1e-4 * args.tol, iterations=report.iterations)
 
 
-def _run_sample(cfg: JobConfig):
-    u, B = _require_theta_params(cfg)
-    u, B = _require_real(u, B)
-    if cfg.count is None or cfg.count < 1:
+def _run_sample(args):
+    u, B = _require_real(*_point(args.params))
+    if args.count is None or args.count < 1:
         raise InputError("count", "sample requires --count >= 1")
     p = CanonicalPoint(u, B)
-    scfg = SamplerConfig(tail_eps=min(cfg.tol, 1e-6), seed=cfg.seed)
+    scfg = SamplerConfig(tail_eps=min(args.tol, 1e-6), seed=args.seed)
     # the radius of the ball about round(B^-1 u) that the draws came from
-    sample, radius = _draw(p, cfg.count, scfg)
-    echo = {
-        "g": p.g,
-        "u": [float(x) for x in u],
-        "B": [[float(x) for x in row] for row in B],
-        "count": cfg.count,
-        "seed": cfg.seed,
-    }
-    result = {
-        "draws": [[int(x) for x in row] for row in sample],
-        "rng": RNG_ALGORITHM,
-        "tail_eps": scfg.tail_eps,
-    }
+    sample, radius = _draw(p, args.count, scfg)
+    echo = {"g": p.g, "u": u, "B": B, "count": args.count, "seed": args.seed}
+    result = {"draws": sample, "rng": RNG_ALGORITHM, "tail_eps": scfg.tail_eps}
     return result, echo, _diag(eps=scfg.tail_eps, radius=radius)
 
 
-def _run_verify(cfg: JobConfig):
-    checks = verify_checks.run_all(seed=cfg.seed)
+def _run_verify(args):
+    checks = verify_checks.run_all(seed=args.seed)
     result = {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
-    echo = {"seed": cfg.seed}
+    echo = {"seed": args.seed}
     if not result["all_passed"]:
-        raise _VerifyFailed(_report(cfg.command, result, echo, _diag()))
+        raise _VerifyFailed(_report(args.command, result, echo, _diag()))
     return result, echo, _diag()
 
 
@@ -431,52 +341,40 @@ class _VerifyFailed(NumericalFailure):
 
 
 @_at_point
-def _run_map(cfg: JobConfig, u, B, eps):
-    if cfg.d < 2:
+def _run_map(args, u, B, eps):
+    if args.d < 2:
         raise InputError("d", "map degree must be at least 2")
-    pt = statistical_map(cfg.d, ThetaPoint(u, B), eps)
+    pt = statistical_map(args.d, ThetaPoint(u, B), eps)
     result = {
-        "degree": cfg.d,
-        "indices": [list(a) for a in moment_map_indices(len(B), cfg.d)],
-        "coordinates": _pairs_vector(pt.coords),
+        "degree": args.d,
+        "indices": moment_map_indices(len(B), args.d),
+        "coordinates": pt.coords,
     }
-    return result, {"d": cfg.d}, _diag(eps=eps)
+    return result, {"d": args.d}, _diag(eps=eps)
 
 
-def _run_cubic(cfg: JobConfig):
-    u, B = _require_theta_params(cfg)
+def _run_cubic(args):
+    u, B = _point(args.params)
     if B.shape != (1, 1):
         raise InputError("g", "cubic is a g = 1 command")
-    eps = max(EPS_FLOOR, cfg.tol)
+    eps = max(EPS_FLOOR, args.tol)
     coef = cubic_coefficients(B, eps)
-    echo = {"g": 1, "B": _pairs_matrix(B), "tol": cfg.tol}
-    result = {
-        "e1": _pair(coef.e1),
-        "e2": _pair(coef.e2),
-        "e3": _pair(coef.e3),
-        "a": _pair(coef.a),
-        "b": _pair(coef.b),
-        "c": _pair(coef.c),
-    }
-    if "u" in cfg.params:
-        echo["u"] = _pairs_vector(u)
-        res = verify_cubic(complex(u[0]), complex(B[0, 0]), eps)
-        result["residuals"] = {
-            "r_cubic": res.r_cubic,
-            "r_quartic": res.r_quartic,
-            "r_det": res.r_det,
-        }
+    echo = {"g": 1, "B": B, "tol": args.tol}
+    result = {name: getattr(coef, name) for name in ("e1", "e2", "e3", "a", "b", "c")}
+    if "u" in args.params:
+        echo["u"] = u
+        result["residuals"] = asdict(verify_cubic(complex(u[0]), complex(B[0, 0]), eps))
     return result, echo, _diag(eps=eps)
 
 
-def _run_kummer(cfg: JobConfig):
-    _, B = _require_theta_params(cfg)
+def _run_kummer(args):
+    _, B = _point(args.params)
     if B.shape != (2, 2):
         raise InputError("g", "kummer is a g = 2 command")
-    count = cfg.count if cfg.count is not None else 60
+    count = args.count if args.count is not None else 60
     if count < 36:
         raise InputError("count", "kummer needs at least 36 points")
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    rng = np.random.Generator(np.random.Philox(args.seed))
     # candidates u = i x + B y, rows (x1, x2, y1, y2) drawn in stream order;
     # those near the divisor (|theta| < 0.2) are rejected, the first `count`
     # others kept.  Each batch draws twice what is still missing.
@@ -488,26 +386,21 @@ def _run_kummer(cfg: JobConfig):
         U = np.vstack([U, cand[np.abs(t) >= 0.2]])
     coords = statistical_map_stack(2, U[:count], B, 1e-13)
     fit_result = kummer_quartic_fit(B, [ProjectivePoint(c) for c in coords])
-    echo = {"g": 2, "B": _pairs_matrix(B), "count": count, "seed": cfg.seed}
+    echo = {"g": 2, "B": B, "count": count, "seed": args.seed}
     result = {
         "residual": fit_result.residual,
-        "second_smallest": float(fit_result.singular_values[-2]),
-        "coefficients": _pairs_vector(fit_result.coeffs),
+        "second_smallest": fit_result.singular_values[-2],
+        "coefficients": fit_result.coeffs,
         "points_used": len(coords),
     }
     return result, echo, _diag(eps=1e-13)
 
 
-def _run_probe(cfg: JobConfig):
-    _, B = _require_theta_params(cfg)
-    report = identifiability_probe(B, trials=cfg.trials, seed=cfg.seed)
-    echo = {"g": B.shape[0], "B": _pairs_matrix(B), "trials": cfg.trials, "seed": cfg.seed}
-    result = {
-        "trials": report.trials,
-        "collisions": report.collisions,
-        "min_separation": report.min_separation,
-    }
-    return result, echo, _diag(eps=1e-12)
+def _run_probe(args):
+    _, B = _point(args.params)
+    report = identifiability_probe(B, trials=args.trials, seed=args.seed)
+    echo = {"g": B.shape[0], "B": B, "trials": args.trials, "seed": args.seed}
+    return asdict(report), echo, _diag(eps=1e-12)
 
 
 _POINT_KEYS = {"g", "u", "B"}
@@ -554,17 +447,17 @@ def _error(exc: Exception) -> str:
     return dumps({"error": name, "field": getattr(exc, "field", None), "message": str(exc)})
 
 
-def execute(cfg: JobConfig) -> int:
-    """Run the configured job and write its JSON document; returns the exit
-    code (0 success, 2 input error, 3 numerical failure)."""
-    run, _ = COMMANDS[cfg.command]
+def execute(args: argparse.Namespace) -> int:
+    """Run the job of parse_config's namespace and write its JSON document;
+    returns the exit code (0 success, 2 input error, 3 numerical failure)."""
+    run, _ = COMMANDS[args.command]
     try:
-        text, code = _report(cfg.command, *run(cfg)), 0
+        text, code = _report(args.command, *run(args)), 0
     except (InvalidParameters, ValueError) as exc:
         text, code = _error(exc), 2
     except NumericalFailure as exc:
         text, code = exc.text if isinstance(exc, _VerifyFailed) else _error(exc), 3
-    return _write(cfg.output, text, code)
+    return _write(args.output, text, code)
 
 
 def _output_path(argv) -> str | None:
@@ -580,10 +473,10 @@ def _output_path(argv) -> str | None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = parse_config(argv)
+        args = parse_config(argv)
     except InputError as exc:
         return _write(_output_path(argv), _error(exc), 2)
-    return execute(cfg)
+    return execute(args)
 
 
 if __name__ == "__main__":
