@@ -12,7 +12,6 @@ from .engine import (
     lattice_points,
     theta,
     theta_dB,
-    theta_derivatives,
     theta_du,
     theta_du_many,
     theta_du_stack,
@@ -65,7 +64,6 @@ __all__ = [
     "theta_du",
     "theta_du_many",
     "theta_du_stack",
-    "theta_derivatives",
     "theta_dB",
     "truncation_radius",
     "lattice_points",

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .engine import TWO_PI, PointSums, ThetaPoint, theta
+from .engine import TWO_PI, PointSums, ThetaPoint, _summands_at, theta
 from .errors import DivisorHit, NotUnimodular
 from .multiindex import (
     MultiIndex,
@@ -230,12 +230,10 @@ class DiscreteGaussian:
     # -- pointwise ------------------------------------------------------
 
     def pmf(self, n) -> complex:
-        """Mass at the lattice point n; real and in (0,1) for real (u, B)."""
-        n = np.asarray(n, dtype=float)
-        if n.shape != (self.g,):
-            raise ValueError(f"n must be an integer vector of length {self.g}")
-        expo = -0.5 * n @ self.B @ n + n @ self.u
-        return complex(np.exp(TWO_PI * expo) / self.theta_value)
+        """Mass at the lattice point n; real and in (0,1) for real (u, B).
+        Raises ValueError unless n is an integer vector of length g."""
+        n = _int_vector(n, self.g)
+        return complex(_summands_at(n[None, :], self.u, self.B)[0] / self.theta_value)
 
     def char_fn(self, v) -> complex:
         """Characteristic function E[e^{i v.X}] = theta(u + iv/2pi, B)/theta."""
@@ -323,16 +321,14 @@ class DiscreteGaussian:
         """
         if s.g1 + s.g2 != self.g:
             raise ValueError(f"split {s} does not match g={self.g}")
-        n1 = np.asarray(n1, dtype=float)
-        if n1.shape != (s.g1,):
-            raise ValueError(f"n1 must have length {s.g1}")
+        n1 = _int_vector(n1, s.g1)
         g1 = s.g1
         B = self.B
         B11, B12, B22 = B[:g1, :g1], B[:g1, g1:], B[g1:, g1:]
         u1, u2 = self.u[:g1], self.u[g1:]
         t1 = theta(ThetaPoint(u1, B11), self.eps)
         t2 = theta(ThetaPoint(u2 - B12.T @ n1, B22), self.eps)
-        block_mass = np.exp(TWO_PI * (-0.5 * n1 @ B11 @ n1 + n1 @ u1)) / t1
+        block_mass = _summands_at(n1[None, :], u1, B11)[0] / t1
         return complex(t1 * t2 / self.theta_value * block_mass)
 
     def translate(self, m, n) -> "DiscreteGaussian":

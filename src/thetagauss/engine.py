@@ -25,7 +25,9 @@ points are shell-ordered, a smaller ball is a prefix of a larger one: a
 table of any order forms summands only for the points past the held
 prefix and contracts the prefix it needs, so theta, the order-2 and the
 order-4 tables of one discrete Gaussian sum each lattice point once.
-theta, theta_du and theta_du_many are one-shot PointSums.
+theta, theta_du and theta_du_many are one-shot PointSums.  PointSums forms
+its summands with _summands_at, the one summand formula at explicit
+points, which the pmf and the sampler's weights use too.
 
 Many arguments are evaluated stacked.  theta_du_stack takes k arguments u
 (the rows of a k x g array) at one B and returns D^a theta for every row
@@ -72,7 +74,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonPositiveDefinite, ToleranceUnreachable
-from .multiindex import exponents, indices_up_to, unit
+from .multiindex import exponents, unit
 
 TWO_PI = 2.0 * math.pi
 
@@ -402,6 +404,28 @@ def _tiled_sums(pts: np.ndarray, k: int, steps: tuple, terms_of) -> np.ndarray:
     return sums.view(complex)
 
 
+def _summands_at(pts: np.ndarray, u: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """e(n.u - 1/2 n^T B n) at the integer points `pts` (N x g), for one
+    argument u at the matrix B: the kernel _summands with phase tables up
+    to K, the largest |n_i|, in chunks whose float points and B products
+    hold at most TILE_ELEMENTS doubles.  Returns N complex summands, which
+    are not finite where they overflow.
+
+    Raises ToleranceUnreachable when K exceeds the radius cap, since the
+    tables hold 2K + 1 entries per coordinate.
+    """
+    K = int(np.abs(pts).max(initial=0))
+    if K > _max_radius():
+        raise ToleranceUnreachable(f"lattice point beyond the radius cap {_max_radius():.0f}")
+    B_planes = np.array([B.real, B.imag])
+    re_V, tables = np.ascontiguousarray(u.real[:, None]), _phase_tables(u.imag[None, :], K)
+    step = max(1, TILE_ELEMENTS // (3 * len(u)))
+    chunks = [pts[lo : lo + step] for lo in range(0, len(pts), step)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = [_summands(c, c.astype(float), re_V, tables, K, B_planes) for c in chunks]
+    return np.concatenate(terms)[:, 0]
+
+
 def _require_finite(values: np.ndarray):
     if not np.isfinite(values).all():
         raise ToleranceUnreachable(
@@ -432,7 +456,7 @@ class PointSums:
     def __init__(self, point: ThetaPoint, eps: float = 1e-12):
         self.point = point
         self.eps = eps
-        self._held = (None, np.empty((0, 1), dtype=complex))
+        self._held = (None, np.empty(0, dtype=complex))
 
     @property
     def radius(self):
@@ -452,27 +476,14 @@ class PointSums:
         radius = truncation_radius(p.B, p.u, worst, self.eps).radius
         pts = lattice_points(p.g, radius)
         terms = self._held[1]
+        if len(pts) > len(terms):
+            terms = np.concatenate([terms, _summands_at(pts[len(terms) :], p.u, p.B.entries)])
+            self._held = (radius, terms)
         with np.errstate(over="ignore", invalid="ignore"):
-            if len(pts) > len(terms):
-                terms = np.concatenate([terms, self._summands_past(pts, len(terms), int(radius))])
-                self._held = (radius, terms)
-            sums = _tiled_sums(pts, 1, steps, lambda lo, tile, x: terms[lo : lo + len(tile)])
+            sums = _tiled_sums(pts, 1, steps, lambda lo, tile, x: terms[lo : lo + len(tile), None])
         values = (scale * sums[select])[:, 0]
         _require_finite(values)
         return {a: complex(v) for a, v in zip(idx, values)}
-
-    def _summands_past(self, pts: np.ndarray, start: int, K: int) -> np.ndarray:
-        # in chunks whose float points and B products hold at most
-        # TILE_ELEMENTS doubles
-        B = self.point.B.entries
-        B_planes = np.array([B.real, B.imag])
-        V = self.point.u[None, :]
-        re_V, tables = np.ascontiguousarray(V.real.T), _phase_tables(V.imag, K)
-        step = max(1, TILE_ELEMENTS // (3 * self.point.g))
-        chunks = [pts[lo : lo + step] for lo in range(start, len(pts), step)]
-        return np.concatenate(
-            [_summands(c, c.astype(float), re_V, tables, K, B_planes) for c in chunks]
-        )
 
 
 def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
@@ -548,11 +559,6 @@ def theta_du_many(indices, p: ThetaPoint, eps: float = 1e-12) -> dict:
     lower orders as well (their summand bounds are smaller shellwise).
     """
     return PointSums(p, eps).table(indices)
-
-
-def theta_derivatives(p: ThetaPoint, max_order: int, eps: float = 1e-12) -> dict:
-    """All D^a_u theta with |a| <= max_order, keyed by exponent tuple."""
-    return theta_du_many(indices_up_to(p.g, max_order), p, eps)
 
 
 def theta_dB(i: int, j: int, p: ThetaPoint, eps: float = 1e-12) -> complex:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import TWO_PI, ThetaPoint, lattice_points, theta, truncation_radius
+from .engine import ThetaPoint, _summands_at, lattice_points, theta, truncation_radius
 from .errors import InvalidParameters, ToleranceUnreachable, TooFewSamples
 from .fitting import CanonicalPoint
 
@@ -66,15 +66,13 @@ def _support_weights(p: CanonicalPoint, tail_eps: float):
     unnormalised weights at (u, B), theta(u, B) and the support radius.
 
     theta(u, B) = theta(u - Bm, B) exp(2 pi (m.u - 1/2 m^T B m)); the
-    weights and that factor are taken at (u, B) and the absolute points,
-    so they overflow, and ToleranceUnreachable is raised, for a mean far
-    enough from the origin."""
+    weights and that factor are the engine's summands (_summands_at) at
+    (u, B) and the absolute points, so they overflow, and
+    ToleranceUnreachable is raised, for a mean far enough from the origin."""
     m, t, radius = _certified_ball(p, tail_eps)
     pts = lattice_points(p.g, radius) + m
-    quad = np.einsum("pi,ij,pj->p", pts, p.B, pts)
-    with np.errstate(over="ignore"):
-        weights = np.exp(TWO_PI * (-0.5 * quad + pts @ p.u))
-        t *= np.exp(TWO_PI * (m @ p.u - 0.5 * (m @ p.B @ m)))
+    weights = _summands_at(pts, p.u, p.B).real
+    t *= _summands_at(m[None, :], p.u, p.B)[0].real
     if not (np.isfinite(weights).all() and np.isfinite(t)):
         raise ToleranceUnreachable("sampler weights overflow double precision")
     return pts, weights, t, radius

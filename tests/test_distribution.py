@@ -589,3 +589,38 @@ class TestCumulantPlan:
         del table[missing]
         with pytest.raises(KeyError):
             tg.moments_to_cumulants(table, 2)
+
+
+class TestPmfLatticePoints:
+    """The pmf and the marginal pmf are masses at lattice points: a point
+    off the lattice, or of the wrong length, is a ValueError."""
+
+    def law_g2(self):
+        return DiscreteGaussian([0.0, 0.0], [[1.0, 0.2], [0.2, 1.0]])
+
+    @pytest.mark.parametrize("n", [[0.5], [1e-3], [np.nan], [0, 0], 1])
+    def test_pmf_rejects(self, n):
+        with pytest.raises(ValueError):
+            std1().pmf(n)
+
+    @pytest.mark.parametrize("n1", [[0.5], [-1.25], [0, 1]])
+    def test_marginal_pmf_rejects(self, n1):
+        with pytest.raises(ValueError):
+            self.law_g2().marginal_pmf(SplitSpec(1, 1), n1)
+
+    def test_integer_points_of_any_type(self):
+        d = std1()
+        for n in ([1], [1.0], np.array([1], dtype=np.int64), (1,)):
+            assert d.pmf(n) == pytest.approx(PMF_AT_1, rel=1e-13)
+        law = self.law_g2()
+        assert law.marginal_pmf(SplitSpec(1, 1), [1.0]) == law.marginal_pmf(SplitSpec(1, 1), [1])
+
+    def test_pmf_matches_the_summand(self, rng):
+        u, B = random_complex_params(rng, 2)
+        d = DiscreteGaussian(u, B)
+        for n in ([0, 0], [2, -1], [-3, 4]):
+            assert d.pmf(n) == pytest.approx(weight(np.array(n), u, B) / d.theta_value, rel=1e-12)
+
+    def test_point_beyond_the_radius_cap_is_typed_error(self):
+        with pytest.raises(tg.errors.ToleranceUnreachable):
+            std1().pmf([10**9])

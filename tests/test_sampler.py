@@ -295,3 +295,11 @@ class TestChiSquareOracle:
         monkeypatch.setattr(sampler, "theta", counting_theta)
         chi_square(x, CanonicalPoint(u, B))
         assert len(calls) == 1
+
+
+def test_support_beyond_the_radius_cap_is_typed_error():
+    """A mean 1e9 from the origin: the weights raise ToleranceUnreachable
+    before any table over the distance of the mean is built."""
+    p = CanonicalPoint([1e9], [[1.0]])
+    with pytest.raises(tg.errors.ToleranceUnreachable):
+        draw(p, 10, SamplerConfig(seed=1))
