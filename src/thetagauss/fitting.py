@@ -31,7 +31,7 @@ import numpy as np
 
 from .distribution import moment_covariance, moment_table
 from .engine import EPS_FLOOR, TWO_PI, ThetaPoint, theta_du_stack
-from .errors import DegenerateSample, NoConvergence, NotPD
+from .errors import DegenerateSample, NoConvergence, NonPositiveDefinite, NotPD
 from .multiindex import indices_up_to, unit
 
 MAX_ITERATIONS = 200
@@ -175,14 +175,6 @@ def _hessian(mus: dict, g: int, pairs) -> np.ndarray:
     return np.outer(weights, weights) * moment_covariance(mus, monomials)
 
 
-def _is_pd(B: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(B - 1e-12 * np.eye(len(B)))
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
 def fit(
     target: MomentData,
     tol: float = 1e-9,
@@ -256,11 +248,13 @@ def fit(
         for _ in range(60):
             x_try = x + step * dx
             u_try, B_try = _unpack(x_try, g, pairs)
-            if _is_pd(B_try):
+            try:
                 t_try, mus_try = _real_moments(ThetaPoint(u_try, B_try), 4, eps)
                 F_try = _objective(math.log(t_try), u_try, B_try, mu_t, S_t)
                 if F_try <= F + 1e-4 * step * slope:
                     break
+            except NonPositiveDefinite:  # the step left the positive definite cone
+                pass
             step *= 0.5
         else:
             raise NoConvergence(
@@ -275,11 +269,11 @@ def fit(
     )
 
 
-def fit_from_sample(data, tol: float = 1e-9, ddof: int = 1) -> FitReport:
+def fit_from_sample(data, tol: float = 1e-9) -> FitReport:
     """Maximum-likelihood parameters for a sample of lattice vectors.
 
-    Computes the sample mean and sample covariance (ddof=1, matching the
-    reference numerics) and delegates to :func:`fit`.  Raises
+    Computes the sample mean and sample covariance (divisor n - 1, matching
+    the reference numerics) and delegates to :func:`fit`.  Raises
     DegenerateSample when the sample covariance is singular.
     """
     data = np.asarray(data, dtype=float)
@@ -290,11 +284,11 @@ def fit_from_sample(data, tol: float = 1e-9, ddof: int = 1) -> FitReport:
     if not np.all(np.isfinite(data)):
         raise ValueError("data must have finite entries")
     n, g = data.shape
-    if n <= ddof:
-        raise DegenerateSample(f"need more than {ddof} observations, got {n}")
+    if n <= 1:
+        raise DegenerateSample(f"need at least 2 observations, got {n}")
     mu = data.mean(axis=0)
     centered = data - mu
-    sigma = centered.T @ centered / (n - ddof)
+    sigma = centered.T @ centered / (n - 1)
     sigma = 0.5 * (sigma + sigma.T)
     if np.linalg.eigvalsh(sigma)[0] <= 1e-12 * max(1.0, float(np.trace(sigma))):
         raise DegenerateSample("sample covariance is singular")

@@ -378,9 +378,7 @@ class ProbeReport:
     min_separation: float
 
 
-def identifiability_probe(
-    B, trials: int, seed: int = 0, separation: float = 1e-6
-) -> ProbeReport:
+def identifiability_probe(B, trials: int, seed: int = 0) -> ProbeReport:
     """Random search for order-<=3 moment collisions at fixed B (g <= 2).
 
     Draws pairs (u, u') uniformly on the parameter torus, rejecting points
@@ -388,7 +386,7 @@ def identifiability_probe(
     differing by a period lattice vector (the same point of the abelian
     variety).  For each surviving pair the sup-norm distance between the
     moment vectors (mu_a for 1 <= |a| <= 3) is recorded; a collision is a
-    distance at or below `separation`.  Needs trials >= 1.
+    distance at or below 1e-6.  Needs trials >= 1.
     """
     if trials < 1:
         raise ValueError("the probe needs at least one trial")
@@ -434,7 +432,7 @@ def identifiability_probe(
             continue
         sep = float(np.max(np.abs(moment_vector(u) - moment_vector(v))))
         min_sep = min(min_sep, sep)
-        if sep <= separation:
+        if sep <= 1e-6:
             collisions += 1
         done += 1
     return ProbeReport(trials=trials, collisions=collisions, min_separation=min_sep)

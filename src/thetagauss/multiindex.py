@@ -71,10 +71,6 @@ def exponents(a, g: int | None = None) -> tuple[int, ...]:
     return t
 
 
-def order(a) -> int:
-    return sum(exponents(a))
-
-
 def mi_binomial(a: Sequence[int], b: Sequence[int]) -> int:
     """Product of componentwise binomials C(a, b) = prod_i C(a_i, b_i)."""
     out = 1

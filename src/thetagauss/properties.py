@@ -51,26 +51,26 @@ def _runner(defect):
     return run
 
 
-def random_real_params(rng, g, diag=(0.6, 1.3), off=0.25, u_range=0.4):
+def random_real_params(rng, g):
     """Random real (u, B) with B diagonally dominant SPD."""
-    A = rng.uniform(-off, off, (g, g))
-    B = 0.5 * (A + A.T) + np.eye(g) * rng.uniform(*diag)
+    A = rng.uniform(-0.25, 0.25, (g, g))
+    B = 0.5 * (A + A.T) + np.eye(g) * rng.uniform(0.6, 1.3)
     while np.linalg.eigvalsh(B)[0] < 0.15:
-        A = rng.uniform(-off, off, (g, g))
-        B = 0.5 * (A + A.T) + np.eye(g) * rng.uniform(*diag)
-    u = rng.uniform(-u_range, u_range, g)
+        A = rng.uniform(-0.25, 0.25, (g, g))
+        B = 0.5 * (A + A.T) + np.eye(g) * rng.uniform(0.6, 1.3)
+    u = rng.uniform(-0.4, 0.4, g)
     return u, B
 
 
-def random_complex_params(rng, g, min_theta=0.1):
-    """Random complex (u, B) off the theta divisor (|theta| >= min_theta,
-    with theta summed over the cube [-8, 8]^g)."""
+def random_complex_params(rng, g):
+    """Random complex (u, B) off the theta divisor (|theta| >= 0.1, with
+    theta summed over the cube [-8, 8]^g)."""
     while True:
         u_re, B_re = random_real_params(rng, g)
         S = rng.uniform(-0.4, 0.4, (g, g))
         B = B_re + 0.5j * (S + S.T)
         u = u_re + 1j * rng.uniform(-0.4, 0.4, g)
-        if abs(_summands(_cube(g, 8), u, B).sum()) >= min_theta:
+        if abs(_summands(_cube(g, 8), u, B).sum()) >= 0.1:
             return u, B
 
 
