@@ -231,7 +231,8 @@ class DiscreteGaussian:
 
     def pmf(self, n) -> complex:
         """Mass at the lattice point n; real and in (0,1) for real (u, B).
-        Raises ValueError unless n is an integer vector of length g."""
+        Raises ValueError unless n is an integer vector of length g, and
+        ToleranceUnreachable beyond the engine's radius cap."""
         n = _int_vector(n, self.g)
         return complex(_summands_at(n[None, :], self.u, self.B)[0] / self.theta_value)
 
@@ -392,6 +393,7 @@ def _int_vector(v, g: int) -> np.ndarray:
     v = np.asarray(v)
     if v.shape != (g,):
         raise ValueError(f"expected an integer vector of length {g}")
-    if not np.all(v == np.round(v)):
-        raise ValueError("expected integer entries")
+    # integers beyond 2^53 are not exact in float, and would wrap in int64
+    if not np.all((v == np.round(v)) & (-(2**53) <= v) & (v <= 2**53)):
+        raise ValueError("expected integer entries of magnitude at most 2^53")
     return np.round(v).astype(np.int64)

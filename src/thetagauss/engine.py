@@ -414,9 +414,9 @@ def _summands_at(pts: np.ndarray, u: np.ndarray, B: np.ndarray) -> np.ndarray:
     Raises ToleranceUnreachable when K exceeds the radius cap, since the
     tables hold 2K + 1 entries per coordinate.
     """
-    K = int(np.abs(pts).max(initial=0))
-    if K > _max_radius():
-        raise ToleranceUnreachable(f"lattice point beyond the radius cap {_max_radius():.0f}")
+    K, cap = int(np.abs(pts).max(initial=0)), _max_radius()
+    if K > cap:
+        raise ToleranceUnreachable(f"lattice point beyond the radius cap {cap:.0f}")
     B_planes = np.array([B.real, B.imag])
     re_V, tables = np.ascontiguousarray(u.real[:, None]), _phase_tables(u.imag[None, :], K)
     step = max(1, TILE_ELEMENTS // (3 * len(u)))

@@ -249,12 +249,14 @@ def fit(
             x_try = x + step * dx
             u_try, B_try = _unpack(x_try, g, pairs)
             try:
-                t_try, mus_try = _real_moments(ThetaPoint(u_try, B_try), 4, eps)
-                F_try = _objective(math.log(t_try), u_try, B_try, mu_t, S_t)
-                if F_try <= F + 1e-4 * step * slope:
-                    break
+                point = ThetaPoint(u_try, B_try)
             except NonPositiveDefinite:  # the step left the positive definite cone
-                pass
+                step *= 0.5
+                continue
+            t_try, mus_try = _real_moments(point, 4, eps)
+            F_try = _objective(math.log(t_try), u_try, B_try, mu_t, S_t)
+            if F_try <= F + 1e-4 * step * slope:
+                break
             step *= 0.5
         else:
             raise NoConvergence(

@@ -72,7 +72,7 @@ def _support_weights(p: CanonicalPoint, tail_eps: float):
     m, t, radius = _certified_ball(p, tail_eps)
     pts = lattice_points(p.g, radius) + m
     weights = _summands_at(pts, p.u, p.B).real
-    t *= _summands_at(m[None, :], p.u, p.B)[0].real
+    t *= weights[0]  # pts[0] = m: the ball's points start at its centre
     if not (np.isfinite(weights).all() and np.isfinite(t)):
         raise ToleranceUnreachable("sampler weights overflow double precision")
     return pts, weights, t, radius

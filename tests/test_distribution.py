@@ -624,3 +624,10 @@ class TestPmfLatticePoints:
     def test_point_beyond_the_radius_cap_is_typed_error(self):
         with pytest.raises(tg.errors.ToleranceUnreachable):
             std1().pmf([10**9])
+
+    @pytest.mark.parametrize("n", [[2.0**63], [1e300], [-(2**63)]])
+    def test_points_beyond_int64_are_value_errors(self, n):
+        with pytest.raises(ValueError):
+            std1().pmf(n)
+        with pytest.raises(ValueError):
+            std1().translate([0], n)
