@@ -290,6 +290,8 @@ def _run_entropy(args, u, B, eps):
 def _run_fit(args):
     params = args.params
     if "data" in params:
+        if any(v is not None for v in (args.mu, args.sigma, params.get("mu"), params.get("sigma"))):
+            raise InputError("data", "fit takes data or a target mu and sigma, not both")
         nested = isinstance(params["data"], list) and any(isinstance(x, list) for x in params["data"])
         data = _numbers(params["data"], "data", float, (None, None) if nested else (None,))
         report = fit_from_sample(data, tol=args.tol)

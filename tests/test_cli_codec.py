@@ -148,3 +148,20 @@ def test_cli_runs_with_numpy_alone(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["command"] == "sample"
+
+
+@pytest.mark.parametrize(
+    "doc, flags",
+    [
+        ({"data": [[0], [1], [2]]}, ["--mu", "[0.5]", "--sigma", "[[1.0]]"]),
+        ({"data": [[0], [1], [2]]}, ["--mu", "[true]"]),
+        ({"data": [[0], [1], [2]], "sigma": [[1.0]]}, []),
+    ],
+)
+def test_fit_takes_data_or_a_target(tmp_path, doc, flags):
+    """A moment target beside a data file is an input error, not ignored."""
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert cli.main(["fit", "--params", str(params), *flags, "--output", str(out)]) == 2
+    assert json.loads(out.read_text(encoding="utf-8"))["field"] == "data"
