@@ -60,14 +60,28 @@ exact while the entries are integers below 2^53.  A value that is not
 finite in double precision (the summands overflow) raises
 ToleranceUnreachable.
 
+The monomial table depends on the ball and the index set alone, not on
+(u, B), so _tiled_sums keeps its tiles (the points as floats and their
+monomials) in _TILES, keyed by (g, monomial steps, tile step).  A key
+holds the tiles of the largest ball seen for it; a smaller ball of the
+same g is a prefix of it and reads whole tiles, then a column slice of the
+last one.  The tiles of all keys take at most TILE_CACHE_BYTES, the
+oldest key dropped first, and a ball whose tiles alone exceed it is built
+tile by tile and not kept.  They are copies, never views of a
+lattice_points array.  Tile boundaries, monomial values (exact integers) and the one
+matrix product per tile are those of a fresh build, so results are
+bit-identical whatever the cache holds.
+
 All functions are pure; cached lattice enumerations are immutable, and a
-PointSums memo only grows, by whole replacement.
+PointSums memo and a _TILES entry are replaced whole, so a race between
+threads only recomputes.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -94,6 +108,10 @@ STACK_BLOCK = 128
 # points whose monomial table plus terms hold at most this many doubles, so
 # memory stays bounded (about 1 MB per array) however large the ball.
 TILE_ELEMENTS = 1 << 17
+
+# Bytes of float and monomial tiles _tiled_sums keeps between calls, over
+# all (g, monomial steps, tile step) keys; the oldest key is dropped first.
+TILE_CACHE_BYTES = 16 << 20
 
 DEFAULT_MAX_RADIUS = 10_000
 MAX_RADIUS_ENV = "THETA_GAUSS_MAX_RADIUS"
@@ -386,6 +404,12 @@ def _summands(pts, x, re_V, tables, K: int, B_planes) -> np.ndarray:
     return terms
 
 
+# (g, monomial steps, tile step) -> ((float tile, monomial tile), ...) of
+# the largest ball kept for that key; entries are replaced whole.
+_TILES: dict = {}
+_TILES_LOCK = threading.Lock()
+
+
 def _tiled_sums(pts: np.ndarray, k: int, steps: tuple, terms_of) -> np.ndarray:
     """sum_n n^a t_n over the lattice points `pts` for each row a of the
     monomial table `steps` (rows of the result) and each of k arguments
@@ -394,13 +418,39 @@ def _tiled_sums(pts: np.ndarray, k: int, steps: tuple, terms_of) -> np.ndarray:
 
     The points are taken in tiles whose monomial table plus terms hold at
     most TILE_ELEMENTS doubles, each contracted in one real matrix product.
+    The float and monomial tiles are read from _TILES where a ball at
+    least this large is held for (g, steps, tile step), and kept there
+    when this ball is larger and its tiles fit in TILE_CACHE_BYTES.
     """
+    n, g = pts.shape
     step = max(1, TILE_ELEMENTS // (len(steps) + 1 + 2 * k))
+    key = (g, steps, step)
+    held = _TILES.get(key, ())
+    keep = (
+        n > sum(len(x) for x, _ in held)
+        and n * (len(steps) + 1 + g) * 8 <= TILE_CACHE_BYTES
+    )
+    kept = []
     sums = np.zeros((len(steps) + 1, 2 * k))
-    for lo in range(0, len(pts), step):
+    for j, lo in enumerate(range(0, n, step)):
         tile = pts[lo : lo + step]
-        x = tile.astype(float)
-        sums += _monomials(x.T, steps) @ terms_of(lo, tile, x).view(float)
+        if j < len(held) and len(held[j][0]) >= len(tile):
+            x, mono = held[j][0][: len(tile)], held[j][1][:, : len(tile)]
+        else:
+            x = tile.astype(float)
+            mono = _monomials(x.T, steps)
+        if keep:
+            kept.append((x, mono))
+        sums += mono @ terms_of(lo, tile, x).view(float)
+    if keep:
+        with _TILES_LOCK:
+            _TILES.pop(key, None)
+            _TILES[key] = tuple(kept)
+            while (
+                sum(xt.nbytes + mt.nbytes for t in _TILES.values() for xt, mt in t)
+                > TILE_CACHE_BYTES
+            ):
+                del _TILES[next(iter(_TILES))]
     return sums.view(complex)
 
 

@@ -117,16 +117,19 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
     whatever the range of the sample.  Float rows are truncated to integers
     first.
 
-    Raises InvalidParameters when a row is not finite and TooFewSamples
-    when no cell reaches the threshold.
+    A 1-D sample is read as univariate.  Raises ValueError unless the
+    sample is N x g, InvalidParameters when a row is not finite and
+    TooFewSamples when no cell reaches the threshold.
     """
-    sample = np.atleast_2d(np.asarray(sample))
+    sample = np.asarray(sample)
+    if sample.ndim == 1:  # flat list of scalars is a univariate sample
+        sample = sample.reshape(-1, 1)
+    if sample.ndim != 2 or sample.shape[1] != p.g:
+        raise ValueError(f"sample must be an N x {p.g} array of lattice vectors")
     if sample.size == 0:
         raise TooFewSamples("empty sample")
     if not np.isfinite(sample).all():
         raise InvalidParameters("sample rows must be finite")
-    if sample.shape[1] != p.g:
-        sample = sample.reshape(-1, p.g)
     n_obs = sample.shape[0]
 
     pts, weights, t, _ = _support_weights(p, 1e-9)

@@ -303,3 +303,26 @@ def test_support_beyond_the_radius_cap_is_typed_error():
     p = CanonicalPoint([1e9], [[1.0]])
     with pytest.raises(tg.errors.ToleranceUnreachable):
         draw(p, 10, SamplerConfig(seed=1))
+
+
+class TestChiSquareShape:
+    """A sample that is not N x g (or 1-D at g = 1) is rejected, not
+    reshaped into other rows."""
+
+    def point(self):
+        return CanonicalPoint([0.1, -0.2], [[1.0, 0.3], [0.3, 1.0]])
+
+    def test_wrong_width_rejected(self):
+        sample = draw(CanonicalPoint([0.0, 0.0, 0.0], np.eye(3)), 3000, SamplerConfig(seed=4))
+        with pytest.raises(ValueError, match="N x 2"):
+            chi_square(sample, self.point())
+
+    def test_flat_sample_rejected_above_g1(self):
+        sample = draw(self.point(), 3000, SamplerConfig(seed=4))
+        with pytest.raises(ValueError, match="N x 2"):
+            chi_square(sample.ravel(), self.point())
+
+    def test_three_dimensional_sample_rejected(self):
+        sample = draw(self.point(), 3000, SamplerConfig(seed=4))
+        with pytest.raises(ValueError, match="N x 2"):
+            chi_square(sample.reshape(1000, 3, 2), self.point())
