@@ -19,6 +19,8 @@ from thetagauss.engine import (
 )
 from thetagauss.multiindex import indices_of_order, indices_up_to, unit
 
+from test_point_sums import random_point, stats_point
+
 
 @pytest.fixture
 def tiles(monkeypatch):
@@ -30,16 +32,6 @@ def tiles(monkeypatch):
 
 def held_bytes(held):
     return sum(x.nbytes + m.nbytes for t in held.values() for x, m in t)
-
-
-def stats_point(rng, g=4, imag=0.15):
-    Q, _ = np.linalg.qr(rng.normal(size=(g, g)))
-    lam = np.concatenate([[0.5], rng.uniform(0.5, 1.5, g - 1)])
-    M = Q @ np.diag(lam) @ Q.T
-    S = rng.uniform(-imag, imag, (g, g))
-    B = np.triu(M) + np.triu(M, 1).T + 1j * (np.triu(S) + np.triu(S, 1).T)
-    u = B.real @ rng.uniform(-0.15, 0.15, g) + 1j * rng.uniform(-0.25, 0.25, g)
-    return u, B
 
 
 def test_second_law_builds_no_order4_table(rng, tiles, monkeypatch):
@@ -74,9 +66,7 @@ def test_second_law_builds_no_order4_table(rng, tiles, monkeypatch):
 def test_tables_bit_identical_in_any_order(rng, tiles, g, order, real):
     """Tables over a small and a large ball at one point, asked large ball
     first, small ball first and each from an emptied cache."""
-    u, B = stats_point(rng, g, imag=0.0 if real else 0.15)
-    if real:
-        u = u.real
+    u, B = random_point(rng, g, real)
     p, idx = ThetaPoint(u, B), indices_up_to(g, order)
     small, large = 1e-5, 1e-12
     ball = {eps: lattice_points(g, truncation_radius(B, u, idx[-1], eps).radius) for eps in (small, large)}
@@ -116,7 +106,7 @@ def test_stack_blocks_bit_identical_in_any_order(rng, tiles, g):
 def test_held_bytes_bounded_and_large_table_not_kept(rng, tiles):
     """After a g = 5 order-4 table at R = 7 (89,527 points x 126 rows, about
     90 MB of tiles) the cache holds no more than TILE_CACHE_BYTES, and not
-    that table."""
+    that table: it is not admitted, so the tiles held before it stay."""
     for _ in range(3):
         u, B = stats_point(rng)
         theta_du_many(indices_up_to(4, 4), ThetaPoint(u, B))
@@ -125,9 +115,10 @@ def test_held_bytes_bounded_and_large_table_not_kept(rng, tiles):
     B5, u5 = A @ A.T / 5 + 0.5 * np.eye(5), np.full(5, 0.1)
     idx5 = indices_up_to(5, 4)
     assert truncation_radius(B5, u5, idx5[-1]).radius == 7
+    before = dict(tiles)
     theta_du_many(idx5, ThetaPoint(u5, B5))
-    assert held_bytes(tiles) <= engine.TILE_CACHE_BYTES
-    assert all(g != 5 for g, _, _ in tiles)
+    assert list(tiles) == list(before)
+    assert all(tiles[key] is before[key] for key in before)
 
 
 def test_oldest_key_dropped_first(rng, tiles, monkeypatch):
