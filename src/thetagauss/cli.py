@@ -41,13 +41,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import verify as verify_checks
-from .engine import (
-    EPS_FLOOR,
-    ThetaPoint,
-    theta,
-    theta_du_stack,
-    truncation_radius,
-)
+from .engine import EPS_FLOOR, PointSums, ThetaPoint, theta_du_stack
 from .distribution import DiscreteGaussian
 from .errors import InvalidParameters, NumericalFailure
 from .fitting import CanonicalPoint, MomentData, fit, fit_from_sample
@@ -261,9 +255,9 @@ def _at_point(body):
 
 @_at_point
 def _run_theta(args, u, B, eps):
-    p = ThetaPoint(u, B)
-    budget = truncation_radius(p.B, p.u, None, eps)
-    return {"theta": theta(p, eps)}, {}, _diag(eps=eps, radius=budget.radius)
+    sums, zero = PointSums(ThetaPoint(u, B), eps), (0,) * len(B)
+    value = sums.table([zero])[zero]
+    return {"theta": value}, {}, _diag(eps=eps, radius=sums.radius)
 
 
 @_at_point

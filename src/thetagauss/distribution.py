@@ -317,8 +317,7 @@ class DiscreteGaussian:
     def marginal_pmf(self, s: SplitSpec, n1) -> complex:
         """Mass of the leading-block marginal at n1:
 
-            P(X_1 = n1) = theta(u1, B11) * theta(u2 - B12^T n1, B22) / theta
-                          * pmf_{(u1, B11)}(n1)
+            P(X_1 = n1) = e(n1.u1 - 1/2 n1^T B11 n1) * theta(u2 - B12^T n1, B22) / theta
         """
         if s.g1 + s.g2 != self.g:
             raise ValueError(f"split {s} does not match g={self.g}")
@@ -327,10 +326,8 @@ class DiscreteGaussian:
         B = self.B
         B11, B12, B22 = B[:g1, :g1], B[:g1, g1:], B[g1:, g1:]
         u1, u2 = self.u[:g1], self.u[g1:]
-        t1 = theta(ThetaPoint(u1, B11), self.eps)
         t2 = theta(ThetaPoint(u2 - B12.T @ n1, B22), self.eps)
-        block_mass = _summands_at(n1[None, :], u1, B11)[0] / t1
-        return complex(t1 * t2 / self.theta_value * block_mass)
+        return complex(_summands_at(n1[None, :], u1, B11)[0] * t2 / self.theta_value)
 
     def translate(self, m, n) -> "DiscreteGaussian":
         """Distribution of X + n, realized as the parameter shift

@@ -17,7 +17,9 @@ summand modulus is at most
 with lmin the smallest eigenvalue of Re(B) and rho = ||Re u||, and the tail
 is bounded shell by shell in the sup norm, (2k+1)^g - (2k-1)^g points per
 shell.  Lattice points are enumerated by increasing ||n||^2, lexicographic
-within shells, so every sum has a fixed deterministic order.
+within shells, so every sum has a fixed deterministic order.  No ball
+may hold more than POINT_BUDGET points: a certificate that needs a larger
+one raises ToleranceUnreachable before anything is enumerated.
 
 One point is evaluated through PointSums, which keeps the summands of its
 point over the largest certified ball asked for so far.  Because the
@@ -80,7 +82,6 @@ threads only recomputes.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -113,8 +114,9 @@ TILE_ELEMENTS = 1 << 17
 # all (g, monomial steps, tile step) keys; the oldest key is dropped first.
 TILE_CACHE_BYTES = 16 << 20
 
-DEFAULT_MAX_RADIUS = 10_000
-MAX_RADIUS_ENV = "THETA_GAUSS_MAX_RADIUS"
+# Lattice points one ball may hold (see _max_radius); a certificate or an
+# enumeration that needs more raises ToleranceUnreachable.
+POINT_BUDGET = 1 << 23
 
 
 class SiegelMatrix:
@@ -185,11 +187,16 @@ class TruncationBudget:
     radius: float
 
 
-def _max_radius() -> float:
-    raw = os.environ.get(MAX_RADIUS_ENV)
-    if raw is None:
-        return float(DEFAULT_MAX_RADIUS)
-    return float(raw)
+def _max_radius(g: int) -> float:
+    """Largest radius R whose ball ||n|| <= R in Z^g the point budget admits.
+
+    The unit cubes about the ball's points are disjoint and lie inside the
+    ball of radius R + sqrt(g)/2, so it holds at most V_g (R + sqrt(g)/2)^g
+    points, V_g the volume of the unit ball; R is largest with that bound
+    at most POINT_BUDGET.
+    """
+    volume = math.pi ** (g / 2) / math.gamma(g / 2 + 1)
+    return (POINT_BUDGET / volume) ** (1.0 / g) - math.sqrt(g) / 2
 
 
 def _log_gauss(lam: float, rho: float, x: float) -> float:
@@ -242,11 +249,13 @@ def truncation_radius(B, u, a=None, eps: float = 1e-12) -> TruncationBudget:
     """Smallest integer radius whose certified tail bound is below eps.
 
     The bound covers the derivative summand (2*pi*n)^a for the given
-    multi-index (a = None or zeros for plain theta).
+    multi-index (a = None or zeros for plain theta).  The search doubles
+    the radius from its start, at most to the largest radius the point
+    budget admits (_max_radius), then bisects between the last radius that
+    failed and the first that certified eps.
 
     Raises ToleranceUnreachable if eps is below the double-precision floor
-    or the radius would exceed the hard cap (default 1e4, overridable via
-    the THETA_GAUSS_MAX_RADIUS environment variable).
+    or the ball would hold more than POINT_BUDGET lattice points.
     """
     B = as_siegel(B)
     u = np.atleast_1d(np.asarray(u, dtype=complex))
@@ -259,37 +268,28 @@ def truncation_radius(B, u, a=None, eps: float = 1e-12) -> TruncationBudget:
         )
     lam = B.lambda_min
     rho = float(np.linalg.norm(u.real))
-    cap = _max_radius()
+    top = math.floor(_max_radius(B.g))
 
     # start past the peak of the shell-term profile so shell terms decrease;
     # the sup-norm shell count contributes an extra x^(g-1) factor
     q_eff = q + B.g - 1
     peak = (rho + math.sqrt(rho * rho + 2.0 * lam * q_eff / math.pi)) / (2.0 * lam)
-    lo = max(1, int(math.ceil(rho / lam)), int(math.ceil(peak)))
-
-    if _tail_bound(B.g, lam, rho, q, lo) < eps:
-        R = lo
-    else:
-        # exponential then binary search for the minimal admissible radius
-        hi = lo
-        while _tail_bound(B.g, lam, rho, q, hi) >= eps:
-            hi *= 2
-            if hi > cap:
-                raise ToleranceUnreachable(
-                    f"radius needed for eps={eps:.3e} exceeds the cap {cap:.0f}"
-                )
-        lo_search = hi // 2
-        while lo_search + 1 < hi:
-            mid = (lo_search + hi) // 2
-            if _tail_bound(B.g, lam, rho, q, mid) < eps:
-                hi = mid
-            else:
-                lo_search = mid
-        R = max(hi, lo)
-    if R > cap:
-        raise ToleranceUnreachable(
-            f"radius {R} for eps={eps:.3e} exceeds the cap {cap:.0f}"
-        )
+    R = max(1, int(math.ceil(rho / lam)), int(math.ceil(peak)))
+    # double, at most to top, until R certifies eps; then bisect between the
+    # last radius that failed and R (never below the start)
+    failed = R - 1
+    while R > top or _tail_bound(B.g, lam, rho, q, R) >= eps:
+        if R >= top:
+            raise ToleranceUnreachable(
+                f"eps={eps:.3e} needs a radius above {top}, beyond {POINT_BUDGET} points at g={B.g}"
+            )
+        failed, R = R, min(2 * R, top)
+    while failed + 1 < R:
+        mid = (failed + R) // 2
+        if _tail_bound(B.g, lam, rho, q, mid) < eps:
+            R = mid
+        else:
+            failed = mid
     return TruncationBudget(eps=eps, radius=float(R))
 
 
@@ -327,8 +327,12 @@ def _lattice_points_cached(g: int, r2: int) -> np.ndarray:
 def lattice_points(g: int, radius: float) -> np.ndarray:
     """All n in Z^g with ||n||_2 <= radius, sorted by (||n||^2, lex).
 
-    Returned array is read-only and cached.
+    Returned array is read-only and cached.  Raises ToleranceUnreachable,
+    before enumerating anything, when the ball could hold more than
+    POINT_BUDGET points (radius above _max_radius(g)).
     """
+    if radius > _max_radius(g):
+        raise ToleranceUnreachable(f"radius {radius:g} at g={g} is beyond {POINT_BUDGET} points")
     r2 = int(math.floor(radius * radius + 1e-9))
     return _lattice_points_cached(int(g), r2)
 
@@ -461,12 +465,12 @@ def _summands_at(pts: np.ndarray, u: np.ndarray, B: np.ndarray) -> np.ndarray:
     hold at most TILE_ELEMENTS doubles.  Returns N complex summands, which
     are not finite where they overflow.
 
-    Raises ToleranceUnreachable when K exceeds the radius cap, since the
-    tables hold 2K + 1 entries per coordinate.
+    Raises ToleranceUnreachable when the phase tables, g(2K + 1) entries,
+    would exceed POINT_BUDGET.
     """
-    K, cap = int(np.abs(pts).max(initial=0)), _max_radius()
-    if K > cap:
-        raise ToleranceUnreachable(f"lattice point beyond the radius cap {cap:.0f}")
+    K = int(np.abs(pts).max(initial=0))
+    if len(u) * (2 * K + 1) > POINT_BUDGET:
+        raise ToleranceUnreachable(f"phase tables to |n_i| = {K} exceed {POINT_BUDGET} entries")
     B_planes = np.array([B.real, B.imag])
     re_V, tables = np.ascontiguousarray(u.real[:, None]), _phase_tables(u.imag[None, :], K)
     step = max(1, TILE_ELEMENTS // (3 * len(u)))

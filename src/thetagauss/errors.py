@@ -39,9 +39,9 @@ class NotUnimodular(InvalidParameters):
 # -- numerical failures ------------------------------------------------------
 
 class ToleranceUnreachable(NumericalFailure):
-    """The requested truncation certificate cannot be issued: either the
-    radius would exceed the configured hard cap or the tolerance is below
-    the double-precision floor."""
+    """The requested value cannot be certified: its lattice ball could
+    hold more than the engine's POINT_BUDGET points, the tolerance is below
+    the double-precision floor, or the summands overflow."""
 
 
 class DivisorHit(NumericalFailure):

@@ -178,7 +178,6 @@ def _hessian(mus: dict, g: int, pairs) -> np.ndarray:
 def fit(
     target: MomentData,
     tol: float = 1e-9,
-    eps: float | None = None,
     max_iterations: int = MAX_ITERATIONS,
 ) -> FitReport:
     """Real canonical parameters (u, B) whose discrete Gaussian has the
@@ -187,7 +186,8 @@ def fit(
     Damped Newton on the convex objective F; a trial step is rejected when
     it leaves the positive definite cone or fails the Armijo test.
     Convergence requires both the moment residual below tol and the squared
-    Newton decrement below tol^2.  The iteration runs on the target
+    Newton decrement below tol^2; theta and its derivatives are summed to
+    eps = max(EPS_FLOOR, 1e-4 * tol).  The iteration runs on the target
     (mu - m, Sigma), m = round(mu), and returns u + Bm (see the module
     docstring); the objective reported is F, which that shift leaves
     unchanged.
@@ -199,8 +199,7 @@ def fit(
         target = MomentData(*target)
     if tol < 1e-10:
         raise ValueError("tol must be at least 1e-10")
-    if eps is None:
-        eps = max(EPS_FLOOR, 1e-4 * tol)
+    eps = max(EPS_FLOOR, 1e-4 * tol)
     g = target.g
     pairs = _triu_pairs(g)
     shift = np.round(target.mu)

@@ -42,6 +42,12 @@ from .multiindex import indices_up_to, moment_map_indices, unit
 DIVISOR_TOL = 1e-8
 PROJECTIVE_TOL = 1e-8
 
+# find_theta_zero: points per side of its scan and the |theta| of a zero;
+# its Newton steps and gauss_map sum to DIVISOR_EPS.
+ZERO_GRID = 41
+ZERO_TOL = 1e-10
+DIVISOR_EPS = 1e-12
+
 
 class ProjectivePoint:
     """Homogeneous coordinate vector, not all zero."""
@@ -219,23 +225,16 @@ def verify_cubic(u, B, eps: float = 1e-12) -> CubicResiduals:
     return CubicResiduals(r_cubic=r_cubic, r_quartic=r_quartic, r_det=r_det)
 
 
-def find_theta_zero(
-    line,
-    B,
-    t_window=((-2.0, 2.0), (-2.0, 2.0)),
-    grid: int = 41,
-    tol: float = 1e-10,
-    eps: float = 1e-12,
-) -> np.ndarray:
-    """A point u* = base + t*direction with |theta(u*, B)| < tol, found by a
-    coarse scan of the complex t rectangle followed by Newton refinement on
-    t -> theta(base + t*direction, B).
+def find_theta_zero(line, B, t_window=((-2.0, 2.0), (-2.0, 2.0))) -> np.ndarray:
+    """A point u* = base + t*direction with |theta(u*, B)| < ZERO_TOL, found
+    by a coarse scan of the complex t rectangle followed by Newton
+    refinement on t -> theta(base + t*direction, B).
 
-    The grid x grid scan is one stacked evaluation (theta_du_stack, eps
-    1e-8): the scan points share B, so they share lattice balls and pay one
-    truncation certificate per block of rows, not one per point.  Newton
-    starts from the five grid points of smallest |theta| and evaluates
-    theta and its gradient at eps.
+    The ZERO_GRID x ZERO_GRID scan is one stacked evaluation
+    (theta_du_stack, eps 1e-8): the scan points share B, so they share
+    lattice balls and pay one truncation certificate per block of rows, not
+    one per point.  Newton starts from the five grid points of smallest
+    |theta| and evaluates theta and its gradient at DIVISOR_EPS.
 
     Raises NoZeroFound when no candidate in the window refines to a zero.
     """
@@ -248,8 +247,8 @@ def find_theta_zero(
         raise ValueError("direction must be nonzero")
 
     (re_lo, re_hi), (im_lo, im_hi) = t_window
-    res = np.linspace(re_lo, re_hi, grid)
-    ims = np.linspace(im_lo, im_hi, grid)
+    res = np.linspace(re_lo, re_hi, ZERO_GRID)
+    ims = np.linspace(im_lo, im_hi, ZERO_GRID)
     ts = (res[:, None] + 1j * ims[None, :]).ravel()
     scan = theta_du_stack([(0,) * B.g], base + ts[:, None] * direction, B, 1e-8)
     # the five grid points of smallest |theta|, smallest first
@@ -257,7 +256,7 @@ def find_theta_zero(
 
     grad_idx = [unit(B.g, i) for i in range(B.g)]
     span = max(re_hi - re_lo, im_hi - im_lo)
-    margin = 2.0 * span / max(grid - 1, 1)
+    margin = 2.0 * span / (ZERO_GRID - 1)
 
     def inside(t: complex) -> bool:
         return (
@@ -269,9 +268,9 @@ def find_theta_zero(
         t = t0
         for _ in range(60):
             point = ThetaPoint(base + t * direction, B)
-            table = theta_du_many([(0,) * B.g] + grad_idx, point, eps)
+            table = theta_du_many([(0,) * B.g] + grad_idx, point, DIVISOR_EPS)
             f = table[(0,) * B.g]
-            if abs(f) < tol:
+            if abs(f) < ZERO_TOL:
                 if inside(t):
                     return base + t * direction
                 break  # converged to a zero outside the window
@@ -284,7 +283,7 @@ def find_theta_zero(
     raise NoZeroFound("no theta zero located on the line inside the window")
 
 
-def gauss_map(u, B, eps: float = 1e-12) -> ProjectivePoint:
+def gauss_map(u, B) -> ProjectivePoint:
     """Gauss map [d theta/d u_1 : ... : d theta/d u_g] at a divisor point.
 
     Requires |theta(u, B)| < 1e-8; raises SingularDivisorPoint when all
@@ -293,7 +292,7 @@ def gauss_map(u, B, eps: float = 1e-12) -> ProjectivePoint:
     B = as_siegel(B)
     point = ThetaPoint(u, B)
     grad_idx = [unit(B.g, i) for i in range(B.g)]
-    table = theta_du_many([(0,) * B.g] + grad_idx, point, eps)
+    table = theta_du_many([(0,) * B.g] + grad_idx, point, DIVISOR_EPS)
     if abs(table[(0,) * B.g]) >= DIVISOR_TOL:
         raise ValueError("the Gauss map is defined on the theta divisor only")
     partials = np.array([table[a] for a in grad_idx])

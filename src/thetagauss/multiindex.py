@@ -29,7 +29,12 @@ class MultiIndex:
     a: tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(int(x) for x in self.a)
+        try:
+            a = tuple(int(x) for x in self.a)
+        except OverflowError as err:  # an infinite entry
+            raise ValueError("multi-index components must be integers") from err
+        if any(x != y for x, y in zip(a, self.a)):
+            raise ValueError("multi-index components must be integers")
         if any(x < 0 for x in a):
             raise ValueError("multi-index components must be nonnegative")
         object.__setattr__(self, "a", a)

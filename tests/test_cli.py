@@ -127,7 +127,7 @@ class TestNonFinite:
                 cli.dumps({"value": [x]})
 
     def test_non_finite_result_is_numerical_failure(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "theta", lambda p, eps: complex(float("inf"), 0.0))
+        monkeypatch.setattr(cli.PointSums, "table", lambda *_: {(0,): complex(float("inf"), 0.0)})
         params = write_params(tmp_path / "p.json", [[1.0]])
         code, text = run(tmp_path, ["theta", "--params", params])
         assert code == 3

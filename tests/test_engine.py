@@ -98,10 +98,10 @@ class TestTruncationRadius:
             truncation_radius([[1.0]], [0.0], None, 1e-15)
 
     def test_hard_cap(self, monkeypatch):
-        monkeypatch.setenv("THETA_GAUSS_MAX_RADIUS", "3")
+        monkeypatch.setattr(tg.engine, "POINT_BUDGET", 7)  # radius at most 3 at g = 1
         with pytest.raises(ToleranceUnreachable):
             truncation_radius([[0.01]], [0.0], None, 1e-12)
-        monkeypatch.delenv("THETA_GAUSS_MAX_RADIUS")
+        monkeypatch.undo()
         budget = truncation_radius([[0.01]], [0.0], None, 1e-12)
         assert budget.radius > 3
 

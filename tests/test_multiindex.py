@@ -95,8 +95,8 @@ def test_cached_index_lists_are_fresh_lists(build, args):
         ((np.int64(2), np.int32(1)), None, (2, 1)),
         (np.array([1, 2]), None, (1, 2)),
         ((1.0, 2), None, (1, 2)),
-        ((1.5, 0), None, (1, 0)),
-        ((-0.5, 1), None, (0, 1)),
+        ((np.float64(1.0), 0), None, (1, 0)),
+        (np.array([0.0, 1.0]), None, (0, 1)),
         ((1, 2), 2, (1, 2)),
         ((), None, ()),
         ((), 0, ()),
@@ -122,6 +122,9 @@ def test_exponents_accepts_as_before(a, g, expected):
         (MultiIndex((1, 2)), 3, ValueError),
         (None, None, TypeError),
         ((1, None), None, TypeError),
+        ((1.5, 0), None, ValueError),
+        ((-0.5, 1), None, ValueError),
+        ("12", None, ValueError),
     ],
 )
 def test_exponents_rejects_as_before(a, g, error):
