@@ -147,6 +147,12 @@ def moment_covariance(mus: dict, indices) -> np.ndarray:
     )
 
 
+def mean_cov(mus: dict, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of X in Z^g from raw moments up to order two."""
+    units = [unit(g, i) for i in range(g)]
+    return np.array([mus[a] for a in units]), moment_covariance(mus, units)
+
+
 def canonical_parameters(u, B):
     """Unique representative of (u, B) under the integer-shift action
 
@@ -176,7 +182,7 @@ class DiscreteGaussian:
     so each lattice point is summed once however many orders are asked
     for; `sums.radius` is the largest certified radius summed so far.  Its
     memo holds 16 bytes (one complex summand) per point of that ball, for
-    g >= 2 no more than the cached int64 lattice array it indexes.
+    g >= 2 no more than the held int64 lattice array it indexes.
     """
 
     __slots__ = ("point", "theta_value", "eps", "sums", "_moments", "_moments_order", "_cumulants")
@@ -232,7 +238,7 @@ class DiscreteGaussian:
     def pmf(self, n) -> complex:
         """Mass at the lattice point n; real and in (0,1) for real (u, B).
         Raises ValueError unless n is an integer vector of length g, and
-        ToleranceUnreachable beyond the engine's radius cap."""
+        ToleranceUnreachable beyond the engine's point budget."""
         n = _int_vector(n, self.g)
         return complex(_summands_at(n[None, :], self.u, self.B)[0] / self.theta_value)
 
@@ -292,9 +298,7 @@ class DiscreteGaussian:
     def mean_cov(self):
         """Mean vector and covariance matrix (complex in general; real SPD
         on the real parameter slice)."""
-        mus = self._moment_table(2)
-        units = [unit(self.g, i) for i in range(self.g)]
-        return np.array([mus[a] for a in units]), moment_covariance(mus, units)
+        return mean_cov(self._moment_table(2), self.g)
 
     def entropy(self) -> complex:
         """H = log theta - 2*pi <u, mu> + pi <B, Sigma + mu mu^T>, with the

@@ -17,15 +17,17 @@ summand modulus is at most
 with lmin the smallest eigenvalue of Re(B) and rho = ||Re u||, and the tail
 is bounded shell by shell in the sup norm, (2k+1)^g - (2k-1)^g points per
 shell.  Lattice points are enumerated by increasing ||n||^2, lexicographic
-within shells, so every sum has a fixed deterministic order.  No ball
-may hold more than POINT_BUDGET points: a certificate that needs a larger
+within shells, so every sum has a fixed deterministic order and a smaller
+ball is a prefix of a larger one: lattice_points returns a read-only
+prefix of the one ball held per genus (_BALLS), which a larger radius
+replaces, built once from prefixes of the genus g - 1 ball.  No ball may
+hold more than POINT_BUDGET points: a certificate that needs a larger
 one raises ToleranceUnreachable before anything is enumerated.
 
 One point is evaluated through PointSums, which keeps the summands of its
-point over the largest certified ball asked for so far.  Because the
-points are shell-ordered, a smaller ball is a prefix of a larger one: a
-table of any order forms summands only for the points past the held
-prefix and contracts the prefix it needs, so theta, the order-2 and the
+point over the largest certified ball asked for so far: a table of any
+order forms summands only for the points past the held prefix and
+contracts the prefix it needs, so theta, the order-2 and the
 order-4 tables of one discrete Gaussian sum each lattice point once.
 theta, theta_du and theta_du_many are one-shot PointSums.  PointSums forms
 its summands with _summands_at, the one summand formula at explicit
@@ -63,20 +65,19 @@ finite in double precision (the summands overflow) raises
 ToleranceUnreachable.
 
 The monomial table depends on the ball and the index set alone, not on
-(u, B), so _tiled_sums keeps its tiles (the points as floats and their
-monomials) in _TILES, keyed by (g, monomial steps, tile step).  A key
-holds the tiles of the largest ball seen for it; a smaller ball of the
-same g is a prefix of it and reads whole tiles, then a column slice of the
-last one.  The tiles of all keys take at most TILE_CACHE_BYTES, the
-oldest key dropped first, and a ball whose tiles alone exceed it is built
-tile by tile and not kept.  They are copies, never views of a
-lattice_points array.  Tile boundaries, monomial values (exact integers) and the one
-matrix product per tile are those of a fresh build, so results are
-bit-identical whatever the cache holds.
+(u, B), so _tiled_sums keeps it in _TILES, keyed by (g, monomial steps):
+one pair (the points as floats, N x g; the monomials, rows x N, copies,
+never views of a lattice_points array) over the largest ball seen for the
+key, whose slices are the tiles of any smaller ball and any row count.
+The tables of all keys take at most TILE_CACHE_BYTES, the oldest key
+dropped first, and a larger table is built tile by tile and not kept.
+Tile boundaries, monomial values (exact integers) and the one matrix
+product per tile are those of a fresh build, so results are bit-identical
+whatever the cache holds.
 
-All functions are pure; cached lattice enumerations are immutable, and a
-PointSums memo and a _TILES entry are replaced whole, so a race between
-threads only recomputes.
+All functions are pure; held lattice balls are immutable, and a held
+ball, a PointSums memo and a _TILES entry are replaced whole, so a race
+between threads only recomputes.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ STACK_BLOCK = 128
 # memory stays bounded (about 1 MB per array) however large the ball.
 TILE_ELEMENTS = 1 << 17
 
-# Bytes of float and monomial tiles _tiled_sums keeps between calls, over
-# all (g, monomial steps, tile step) keys; the oldest key is dropped first.
+# Bytes of float points and monomial tables _tiled_sums keeps between calls,
+# over all (g, monomial steps) keys; the oldest key is dropped first.
 TILE_CACHE_BYTES = 16 << 20
 
 # Lattice points one ball may hold (see _max_radius); a certificate or an
@@ -293,48 +294,57 @@ def truncation_radius(B, u, a=None, eps: float = 1e-12) -> TruncationBudget:
     return TruncationBudget(eps=eps, radius=float(R))
 
 
-@lru_cache(maxsize=128)
-def _lattice_points_cached(g: int, r2: int) -> np.ndarray:
-    K = int(math.isqrt(r2))
-    ax = np.arange(-K, K + 1)
+# g -> (r2, points, squared norms) of the largest ball ||n||^2 <= r2
+# enumerated so far in Z^g; entries are replaced whole.
+_BALLS: dict = {}
+
+
+def _ball(g: int, r2: int) -> tuple:
+    """The held ball of Z^g, enumerated anew as ||n||^2 <= r2 if smaller.
+    At g > 1 the points (x, m) are written in order of x, then of m in the
+    prefix ||m||^2 <= r2 - x^2 of the genus g - 1 ball, so a stable sort by
+    ||n||^2 leaves each shell in lexicographic order."""
+    held = _BALLS.get(g, (-1,))
+    if held[0] >= r2:
+        return held
+    K = math.isqrt(r2)
     if g == 1:
-        pts = ax.reshape(-1, 1)
-    elif g == 2:
-        pts = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+        pts = (np.arange(1, 2 * K + 2) // 2)[:, None]  # 0, 1, 1, 2, 2, ...
+        pts[1::2] *= -1
+        n2 = pts[:, 0] ** 2
     else:
-        # chunk over the first coordinate to keep peak memory at (2K+1)^(g-1)
-        rest = np.stack(
-            np.meshgrid(*([ax] * (g - 1)), indexing="ij"), axis=-1
-        ).reshape(-1, g - 1)
-        rest_n2 = np.einsum("pi,pi->p", rest, rest)
-        chunks = []
-        for x0 in ax:
-            keep = rest[rest_n2 <= r2 - x0 * x0]
-            col = np.full((len(keep), 1), x0)
-            chunks.append(np.hstack([col, keep]))
-        pts = np.vstack(chunks)
-    n2 = np.einsum("pi,pi->p", pts, pts)
-    mask = n2 <= r2
-    pts, n2 = pts[mask], n2[mask]
-    # increasing ||n||^2, lexicographic within shells (primary key last)
-    keys = tuple(pts[:, i] for i in reversed(range(g))) + (n2,)
-    order = np.lexsort(keys)
-    pts = np.ascontiguousarray(pts[order])
+        _, sub, sub_n2 = _ball(g - 1, r2)
+        counts = np.searchsorted(sub_n2, r2 - np.arange(-K, K + 1) ** 2, side="right")
+        ends = np.cumsum(counts)
+        n2 = np.empty(ends[-1], dtype=np.int64)
+        for x, lo, hi in zip(range(-K, K + 1), ends - counts, ends):
+            n2[lo:hi] = x * x + sub_n2[: hi - lo]
+        order = np.argsort(n2, kind="stable")
+        n2 = n2[order]
+        # point f as written: c - K, then sub[f - start of chunk c]
+        pts = np.empty((len(n2), g), dtype=np.int64)
+        for lo in range(0, len(n2), TILE_ELEMENTS):
+            f = order[lo : lo + TILE_ELEMENTS]
+            c = np.searchsorted(ends, f, side="right")
+            pts[lo : lo + len(f), 0] = c - K
+            pts[lo : lo + len(f), 1:] = sub[f - ends[c] + counts[c]]
     pts.setflags(write=False)
-    return pts
+    held = _BALLS[g] = (r2, pts, n2)
+    return held
 
 
 def lattice_points(g: int, radius: float) -> np.ndarray:
     """All n in Z^g with ||n||_2 <= radius, sorted by (||n||^2, lex).
 
-    Returned array is read-only and cached.  Raises ToleranceUnreachable,
-    before enumerating anything, when the ball could hold more than
-    POINT_BUDGET points (radius above _max_radius(g)).
+    Returns a read-only prefix of the ball held for g.  Raises
+    ToleranceUnreachable, before enumerating anything, when the ball could
+    hold more than POINT_BUDGET points (radius above _max_radius(g)).
     """
     if radius > _max_radius(g):
         raise ToleranceUnreachable(f"radius {radius:g} at g={g} is beyond {POINT_BUDGET} points")
     r2 = int(math.floor(radius * radius + 1e-9))
-    return _lattice_points_cached(int(g), r2)
+    _, pts, n2 = _ball(int(g), r2)
+    return pts[: n2.searchsorted(r2, side="right")]
 
 
 @lru_cache(maxsize=64)
@@ -408,8 +418,8 @@ def _summands(pts, x, re_V, tables, K: int, B_planes) -> np.ndarray:
     return terms
 
 
-# (g, monomial steps, tile step) -> ((float tile, monomial tile), ...) of
-# the largest ball kept for that key; entries are replaced whole.
+# (g, monomial steps) -> ((float points, monomial table),) of the largest
+# ball kept for that key; entries are replaced whole.
 _TILES: dict = {}
 _TILES_LOCK = threading.Lock()
 
@@ -420,41 +430,31 @@ def _tiled_sums(pts: np.ndarray, k: int, steps: tuple, terms_of) -> np.ndarray:
     (columns), where terms_of(lo, tile, x) returns the N x k complex terms
     t_n of the tile pts[lo : lo + N] (x: the tile as floats).
 
-    The points are taken in tiles whose monomial table plus terms hold at
-    most TILE_ELEMENTS doubles, each contracted in one real matrix product.
-    The float and monomial tiles are read from _TILES where a ball at
-    least this large is held for (g, steps, tile step), and kept there
-    when this ball is larger and its tiles fit in TILE_CACHE_BYTES.
+    The points are taken in tiles, slices of the table _TILES holds, whose
+    monomials plus terms hold at most TILE_ELEMENTS doubles, each
+    contracted in one real matrix product.
     """
     n, g = pts.shape
+    key = (g, steps)
+    ((xs, monos),) = _TILES.get(key, (((), ()),))
+    if len(xs) < n and n * (len(steps) + 1 + g) * 8 <= TILE_CACHE_BYTES:
+        xs = pts.astype(float)
+        monos = _monomials(xs.T, steps)
+        with _TILES_LOCK:
+            _TILES.pop(key, None)
+            _TILES[key] = ((xs, monos),)
+            while sum(x.nbytes + m.nbytes for ((x, m),) in _TILES.values()) > TILE_CACHE_BYTES:
+                del _TILES[next(iter(_TILES))]
     step = max(1, TILE_ELEMENTS // (len(steps) + 1 + 2 * k))
-    key = (g, steps, step)
-    held = _TILES.get(key, ())
-    keep = (
-        n > sum(len(x) for x, _ in held)
-        and n * (len(steps) + 1 + g) * 8 <= TILE_CACHE_BYTES
-    )
-    kept = []
     sums = np.zeros((len(steps) + 1, 2 * k))
-    for j, lo in enumerate(range(0, n, step)):
+    for lo in range(0, n, step):
         tile = pts[lo : lo + step]
-        if j < len(held) and len(held[j][0]) >= len(tile):
-            x, mono = held[j][0][: len(tile)], held[j][1][:, : len(tile)]
+        if len(xs) >= n:
+            x, mono = xs[lo : lo + len(tile)], monos[:, lo : lo + len(tile)]
         else:
             x = tile.astype(float)
             mono = _monomials(x.T, steps)
-        if keep:
-            kept.append((x, mono))
         sums += mono @ terms_of(lo, tile, x).view(float)
-    if keep:
-        with _TILES_LOCK:
-            _TILES.pop(key, None)
-            _TILES[key] = tuple(kept)
-            while (
-                sum(xt.nbytes + mt.nbytes for t in _TILES.values() for xt, mt in t)
-                > TILE_CACHE_BYTES
-            ):
-                del _TILES[next(iter(_TILES))]
     return sums.view(complex)
 
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import moment_covariance, moment_table
-from .engine import EPS_FLOOR, TWO_PI, ThetaPoint, theta_du_stack
+from .distribution import mean_cov, moment_covariance, moment_table
+from .engine import EPS_FLOOR, TWO_PI, ThetaPoint, theta_du_many
 from .errors import DegenerateSample, NoConvergence, NonPositiveDefinite, NotPD
 from .multiindex import indices_up_to, unit
 
@@ -113,16 +113,14 @@ class FitReport:
 
 def _real_moments(p: ThetaPoint, order: int, eps: float) -> tuple[float, dict]:
     """theta and the raw moment table mu_a (real slice) up to `order`."""
-    idx = indices_up_to(p.g, order)
-    derivs = dict(zip(idx, theta_du_stack(idx, p.u[None, :], p.B, eps)[0].real))
+    derivs = {a: v.real for a, v in theta_du_many(indices_up_to(p.g, order), p, eps).items()}
     return derivs[(0,) * p.g], moment_table(derivs)
 
 
 def forward_moments(p: CanonicalPoint, eps: float = 1e-12) -> MomentData:
     """Mean and covariance of the discrete Gaussian at real parameters."""
     _, mus = _real_moments(p.to_theta_point(), 2, eps)
-    units = [unit(p.g, i) for i in range(p.g)]
-    return MomentData(np.array([mus[a] for a in units]), moment_covariance(mus, units))
+    return MomentData(*mean_cov(mus, p.g))
 
 
 def _triu_pairs(g: int) -> list[tuple[int, int]]:
@@ -147,14 +145,12 @@ def _objective(t_log: float, u, B, mu_t, S_t) -> float:
 
 def _grad_resid(mus: dict, g: int, pairs, mu_t, S_t):
     """Gradient of F in packed coordinates and the (mu, Sigma) residual."""
-    units = [unit(g, i) for i in range(g)]
-    mu = np.array([mus[a] for a in units])
+    mu, sigma = mean_cov(mus, g)
     grad = np.empty(g + len(pairs))
     grad[:g] = TWO_PI * (mu - mu_t)
     for k, (i, j) in enumerate(pairs):
         scale = math.pi if i == j else TWO_PI
         grad[g + k] = scale * (S_t[i, j] - mus[unit(g, i, j)])
-    sigma = moment_covariance(mus, units)
     resid = max(
         float(np.max(np.abs(mu - mu_t))),
         float(np.max(np.abs(sigma - (S_t - np.outer(mu_t, mu_t))))),

@@ -40,7 +40,6 @@ from .errors import (
 from .multiindex import indices_up_to, moment_map_indices, unit
 
 DIVISOR_TOL = 1e-8
-PROJECTIVE_TOL = 1e-8
 
 # find_theta_zero: points per side of its scan and the |theta| of a zero;
 # its Newton steps and gauss_map sum to DIVISOR_EPS.

@@ -1,6 +1,6 @@
-"""The monomial tiles engine._tiled_sums keeps per (g, monomial steps,
-tile step): built once per ball, read as a prefix by smaller balls, bounded
-in bytes, bit-identical to tiles built afresh."""
+"""The monomial table engine._tiled_sums keeps per (g, monomial steps):
+built once per ball, sliced into the tiles of smaller balls and of any
+row count, bounded in bytes, bit-identical to tiles built afresh."""
 
 import sys
 import threading
