@@ -14,15 +14,19 @@ summand modulus is at most
 
     |(2*pi*n)^a| * exp(2*pi*(-1/2*lmin*||n||^2 + rho*||n||))
 
-with lmin the smallest eigenvalue of Re(B) and rho = ||Re u||, and the tail
-is bounded shell by shell in the sup norm, (2k+1)^g - (2k-1)^g points per
-shell.  Lattice points are enumerated by increasing ||n||^2, lexicographic
-within shells, so every sum has a fixed deterministic order and a smaller
-ball is a prefix of a larger one: lattice_points returns a read-only
-prefix of the one ball held per genus (_BALLS), which a larger radius
-replaces, built once from prefixes of the genus g - 1 ball.  No ball may
-hold more than POINT_BUDGET points: a certificate that needs a larger
-one raises ToleranceUnreachable before anything is enumerated.
+with lmin the smallest eigenvalue of Re(B) and rho = ||Re u||.  The tail
+is grouped into shells of the sup norm, (2m+1)^g - (2m-1)^g points in
+shell m, and bounded in closed form (Deconinck et al., Math. Comp. 2004):
+a head term for the shells inside the ball, plus a geometric series past
+it, since the ratio of consecutive shell terms does not increase
+(_tail_bound).  Lattice points are enumerated by increasing ||n||^2,
+lexicographic within shells, so every sum has a fixed deterministic order
+and a smaller ball is a prefix of a larger one: lattice_points returns a
+read-only prefix of the one ball held per genus (_BALLS), which a larger
+radius replaces, built once from prefixes of the genus g - 1 ball.  No
+ball may hold more than POINT_BUDGET points: a certificate that needs a
+larger one raises ToleranceUnreachable before anything is enumerated, and
+the held balls of all genera together hold at most that many.
 
 One point is evaluated through PointSums, which keeps the summands of its
 point over the largest certified ball asked for so far: a table of any
@@ -41,9 +45,10 @@ rho = ||Re u|| and cut into blocks of STACK_BLOCK rows, and each block is
 summed over one ball, with the radius truncation_radius certifies at the
 block's largest rho for the highest order asked for.  That radius is a
 true certificate for every row of the block, because both parts of the
-radius rule grow with rho: the tail bound (rho enters each shell term only
-through the factor exp(2*pi*rho*x), x >= 0) and the search start (the peak
-of the shell-term profile, and rho/lmin).  A radius R found at the largest
+radius rule grow with rho: the tail bound (its head term and first shell
+term, through the factor exp(2*pi*rho*x), x >= 0, and its shell ratio,
+through exp(2*pi*rho)) and the search start (the peak of the shell-term
+profile, and rho/lmin).  A radius R found at the largest
 rho of a block therefore lies at or past the search start of every smaller
 rho, where the bound at R is no larger and so still below eps.  Repeated-B
 callers (the scan of find_theta_zero, the kummer job) thus pay one
@@ -200,50 +205,37 @@ def _max_radius(g: int) -> float:
     return (POINT_BUDGET / volume) ** (1.0 / g) - math.sqrt(g) / 2
 
 
-def _log_gauss(lam: float, rho: float, x: float) -> float:
-    # log of exp(2*pi*(-lam*x^2/2 + rho*x))
-    return TWO_PI * (-0.5 * lam * x * x + rho * x)
-
-
 def _tail_bound(g: int, lam: float, rho: float, q: int, R: int) -> float:
     """Upper bound on sum_{||n||_2 > R} |(2*pi*n)^a| |e(-1/2 n^T B n + n^T u)|
     for any multi-index a of order q.
 
-    Points are grouped by m = ||n||_inf.  For m <= R the exponential factor
-    is at most its value at ||n||_2 = R (every tail point has ||n||_2 > R)
-    and |n^a| <= m^q <= R^q; for m > R the shell bound N(m) m^q E(m) applies.
-    Requires R at or beyond the peak of the shell-term profile so that the
-    series is decreasing; the caller guarantees that.
+    Points are grouped by m = ||n||_inf, N(m) = (2m+1)^g - (2m-1)^g of them
+    in shell m, and E(x) = exp(2*pi*(rho*x - lam*x^2/2)).  The head, every
+    shell m <= M = ceil(R), has (2M+1)^g points with |n^a| <= M^q and E at
+    most E(R) (every tail point has ||n||_2 > R, and E decreases past
+    rho/lam, where truncation_radius starts).  A shell m > M contributes
+    at most t(m) = (2*pi)^q N(m) m^q E(m).  The ratio t(m+1)/t(m) does not
+    increase with m, because none of its factors does: N(m+1)/N(m) (N(m) is
+    g * integral_{-1}^{1} (2m+t)^(g-1) dt, log-concave in m by Prekopa),
+    (1 + 1/m)^q and E(m+1)/E(m) = exp(2*pi*(rho - lam*(m + 1/2))).  So the
+    shells past M sum to at most t(M+1) / (1 - t(M+2)/t(M+1)).  Returns inf
+    when that ratio is not below 1 or a term's log reaches 700.
     """
     M = int(math.ceil(R))
-    logc = q * math.log(TWO_PI) if q else 0.0
+    logc = q * math.log(TWO_PI)
 
-    # head: every sup-norm shell m <= M, exponential pinned at x = R
-    log_head = (
-        logc
-        + g * math.log(2 * M + 1)
-        + (q * math.log(M) if q else 0.0)
-        + _log_gauss(lam, rho, float(R))
-    )
-    total = math.exp(log_head) if log_head < 700.0 else math.inf
+    def log_term(log_count, m, x):  # log of (2*pi)^q count m^q E(x)
+        return logc + log_count + q * math.log(m) + TWO_PI * (-0.5 * lam * x * x + rho * x)
 
-    # shells beyond the cutoff, with geometric closure
-    prev = math.inf
-    m = M + 1
-    for _ in range(100_000):
-        n_shell = float((2 * m + 1) ** g - (2 * m - 1) ** g)
-        log_t = logc + math.log(n_shell) + q * math.log(m) + _log_gauss(lam, rho, float(m))
-        term = math.exp(log_t) if log_t < 700.0 else math.inf
-        total += term
-        ratio = term / prev if prev > 0 else 0.0
-        if term == 0.0:
-            return total
-        if ratio < 0.5 and term < total * 1e-17 + 1e-300:
-            # ratios are decreasing, so the remainder is geometric
-            return total + term * ratio / (1.0 - ratio)
-        prev = term
-        m += 1
-    return math.inf
+    def log_shell(m):
+        return log_term(math.log((2 * m + 1) ** g - (2 * m - 1) ** g), m, float(m))
+
+    log_head = log_term(g * math.log(2 * M + 1), M, float(R))
+    log_first = log_shell(M + 1)
+    log_ratio = log_shell(M + 2) - log_first
+    if max(log_head, log_first) >= 700.0 or log_ratio >= 0.0:
+        return math.inf
+    return math.exp(log_head) + math.exp(log_first) / -math.expm1(log_ratio)
 
 
 def truncation_radius(B, u, a=None, eps: float = 1e-12) -> TruncationBudget:
@@ -295,7 +287,8 @@ def truncation_radius(B, u, a=None, eps: float = 1e-12) -> TruncationBudget:
 
 
 # g -> (r2, points, squared norms) of the largest ball ||n||^2 <= r2
-# enumerated so far in Z^g; entries are replaced whole.
+# enumerated so far in Z^g; entries are replaced whole, and dropped, the
+# largest of another genus first, while all hold more than POINT_BUDGET points.
 _BALLS: dict = {}
 
 
@@ -330,6 +323,10 @@ def _ball(g: int, r2: int) -> tuple:
             pts[lo : lo + len(f), 1:] = sub[f - ends[c] + counts[c]]
     pts.setflags(write=False)
     held = _BALLS[g] = (r2, pts, n2)
+    # snapshots and a default pop, so threads may race
+    others = sorted((len(b[2]), h) for h, b in list(_BALLS.items()) if h != g)
+    while others and sum(len(b[2]) for b in list(_BALLS.values())) > POINT_BUDGET:
+        _BALLS.pop(others.pop()[1], None)
     return held
 
 

@@ -120,3 +120,14 @@ def test_stack_heights_share_one_monomial_table(rng, monkeypatch):
     part = theta_du_stack(idx, U[far], B)
     assert built == [len(lattice_points(3, radius))]
     assert np.allclose(part, whole[far], rtol=1e-12, atol=0)
+
+
+def test_held_balls_of_all_genera_stay_within_the_budget(balls, monkeypatch):
+    """The largest admitted ball at g = 1..5 in turn, under a budget of 5000
+    points: the held balls of all genera hold at most 5000 points after
+    each, the largest of another genus dropped first."""
+    monkeypatch.setattr(engine, "POINT_BUDGET", 5000)
+    for g in range(1, 6):
+        pts = lattice_points(g, math.floor(engine._max_radius(g)))
+        assert sum(len(n2) for _, _, n2 in balls.values()) <= 5000
+        assert np.array_equal(pts, brute_ball(g, math.floor(engine._max_radius(g))))
