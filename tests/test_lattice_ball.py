@@ -125,7 +125,7 @@ def test_stack_heights_share_one_monomial_table(rng, monkeypatch):
 def test_held_balls_of_all_genera_stay_within_the_budget(balls, monkeypatch):
     """The largest admitted ball at g = 1..5 in turn, under a budget of 5000
     points: the held balls of all genera hold at most 5000 points after
-    each, the largest of another genus dropped first."""
+    each."""
     monkeypatch.setattr(engine, "POINT_BUDGET", 5000)
     for g in range(1, 6):
         pts = lattice_points(g, math.floor(engine._max_radius(g)))
