@@ -33,6 +33,7 @@ and share its prologue, _at_point.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -198,9 +199,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError("argv", message)
 
 
-def parse_config(argv) -> argparse.Namespace:
-    """The flags of argv, with --mu and --sigma read as JSON and `params`
-    the object of the params file ({} without --params)."""
+@functools.cache
+def _flags() -> _Parser:
+    """The parser of parse_config, built on first use and then reused:
+    parsing leaves it unchanged."""
     parser = _Parser(prog="thetagauss", add_help=True)
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--params", dest="params_file")
@@ -212,7 +214,13 @@ def parse_config(argv) -> argparse.Namespace:
     parser.add_argument("--d", type=int, default=2)
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--output")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def parse_config(argv) -> argparse.Namespace:
+    """The flags of argv, with --mu and --sigma read as JSON and `params`
+    the object of the params file ({} without --params)."""
+    args = _flags().parse_args(argv)
 
     if not 0 < args.tol < math.inf:
         raise InputError("tol", "tol must be positive and finite")

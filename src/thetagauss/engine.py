@@ -51,8 +51,10 @@ through exp(2*pi*rho)) and the search start (the peak of the shell-term
 profile, and rho/lmin).  A radius R found at the largest
 rho of a block therefore lies at or past the search start of every smaller
 rho, where the bound at R is no larger and so still below eps.  Repeated-B
-callers (the scan of find_theta_zero, the kummer job) thus pay one
-certificate per block, not one per argument.
+callers (the kummer job's map and its candidate filter) thus pay one
+certificate per block, not one per argument; the zero finder of
+geometry certifies its scan of a line the same way, at the largest rho of
+its window.
 
 Each summand is a magnitude times a unit-modulus phase.  The magnitude
 exp(2*pi*(n.Re u - 1/2 n^T Re B n)) is one exp per point and row.  The
@@ -60,8 +62,10 @@ phase e(i*Im E) splits into a per-point factor exp(-i*pi n^T Im B n),
 shared by all rows, and one factor exp(2*pi*i n_i Im u_i) per coordinate,
 gathered at n_i from a table over j in [-K, K] (K the block radius) built
 once per row for the whole ball, so no sine or cosine is taken per point
-and row.  Rows whose tables would exceed TILE_ELEMENTS doubles are summed
-in several passes over the ball.  The complex terms, viewed as interleaved
+and row.  At real u and B every phase is 1, and _summands_at returns the
+real magnitudes alone, with no tables and no complex exp.  Rows whose
+tables would exceed TILE_ELEMENTS doubles are summed in several passes
+over the ball.  The complex terms, viewed as interleaved
 (re, im) pairs, are contracted with the table of monomials n^a in one real
 matrix product per tile of lattice points; each monomial row is its
 parent's row (a minus the last nonzero unit vector) times one coordinate,
@@ -401,6 +405,10 @@ def _summands(pts, x, re_V, tables, K: int, B_planes) -> np.ndarray:
     |n_i| <= K; x the same points as floats) for each argument v, a column
     of re_V = Re V^T with its phase tables (_phase_tables(Im V, K)).
     Returns an N x k complex array.  B_planes holds Re B and Im B.
+
+    With tables None (real V and B, B_planes holding Re B alone) every
+    phase is 1, and the N x k real magnitudes are returned: bit for bit
+    the real parts of the complex summands.
     """
     quad = np.einsum("cpi,pi->cp", x @ B_planes, x)
     # magnitude exp(2 pi (n.Re v - 1/2 n^T Re B n)), points x arguments
@@ -408,6 +416,8 @@ def _summands(pts, x, re_V, tables, K: int, B_planes) -> np.ndarray:
     mag -= 0.5 * quad[0, :, None]
     mag *= TWO_PI
     np.exp(mag, out=mag)
+    if tables is None:
+        return mag
     # times the phase exp(-i pi n^T Im B n) prod_i exp(2 pi i n_i Im v_i)
     terms = np.exp(-1j * np.pi * quad[1])[:, None] * mag
     for i in range(pts.shape[1]):
@@ -459,17 +469,22 @@ def _summands_at(pts: np.ndarray, u: np.ndarray, B: np.ndarray) -> np.ndarray:
     """e(n.u - 1/2 n^T B n) at the integer points `pts` (N x g), for one
     argument u at the matrix B: the kernel _summands with phase tables up
     to K, the largest |n_i|, in chunks whose float points and B products
-    hold at most TILE_ELEMENTS doubles.  Returns N complex summands, which
-    are not finite where they overflow.
+    hold at most TILE_ELEMENTS doubles.  Returns N summands, which are not
+    finite where they overflow: complex, or real when u and B are real, for
+    then every phase is 1 and the kernel forms no phase tables and no
+    complex exp.
 
     Raises ToleranceUnreachable when the phase tables, g(2K + 1) entries,
-    would exceed POINT_BUDGET.
+    would exceed POINT_BUDGET, whether or not they are formed.
     """
     K = int(np.abs(pts).max(initial=0))
     if len(u) * (2 * K + 1) > POINT_BUDGET:
         raise ToleranceUnreachable(f"phase tables to |n_i| = {K} exceed {POINT_BUDGET} entries")
-    B_planes = np.array([B.real, B.imag])
-    re_V, tables = np.ascontiguousarray(u.real[:, None]), _phase_tables(u.imag[None, :], K)
+    re_V = np.ascontiguousarray(u.real[:, None])
+    if u.imag.any() or B.imag.any():
+        B_planes, tables = np.array([B.real, B.imag]), _phase_tables(u.imag[None, :], K)
+    else:
+        B_planes, tables = np.array([B.real]), None
     step = max(1, TILE_ELEMENTS // (3 * len(u)))
     chunks = [pts[lo : lo + step] for lo in range(0, len(pts), step)]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -532,7 +547,7 @@ class PointSums:
             self._held = (radius, terms)
         with np.errstate(over="ignore", invalid="ignore"):
             sums = _tiled_sums(pts, 1, steps, lambda lo, tile, x: terms[lo : lo + len(tile), None])
-        values = (scale * sums[select])[:, 0]
+            values = (scale * sums[select])[:, 0]
         _require_finite(values)
         return {a: complex(v) for a, v in zip(idx, values)}
 

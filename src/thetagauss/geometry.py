@@ -29,7 +29,18 @@ from math import pi
 import numpy as np
 
 from .distribution import canonical_parameters, moment_table, moments_to_cumulants
-from .engine import TWO_PI, ThetaPoint, as_siegel, theta, theta_du_many, theta_du_stack
+from .engine import (
+    TILE_ELEMENTS,
+    TWO_PI,
+    ThetaPoint,
+    _require_finite,
+    as_siegel,
+    lattice_points,
+    theta,
+    theta_du_many,
+    theta_du_stack,
+    truncation_radius,
+)
 from .errors import (
     DivisorHit,
     IndeterminatePoint,
@@ -41,11 +52,18 @@ from .multiindex import indices_up_to, moment_map_indices, unit
 
 DIVISOR_TOL = 1e-8
 
-# find_theta_zero: points per side of its scan and the |theta| of a zero;
-# its Newton steps and gauss_map sum to DIVISOR_EPS.
+# find_theta_zero: points per side of its scan, the scan's certified eps
+# and the |theta| of a zero; its Newton steps and gauss_map sum to
+# DIVISOR_EPS.
 ZERO_GRID = 41
+SCAN_EPS = 1e-8
 ZERO_TOL = 1e-10
 DIVISOR_EPS = 1e-12
+
+# Lattice points per real product of the scan: a (41 x 64) @ (64 x 82)
+# product stays below the size at which OpenBLAS starts worker threads,
+# which would spend more CPU time than they save on products this small.
+SCAN_TILE = 32
 
 
 class ProjectivePoint:
@@ -224,18 +242,105 @@ def verify_cubic(u, B, eps: float = 1e-12) -> CubicResiduals:
     return CubicResiduals(r_cubic=r_cubic, r_quartic=r_quartic, r_det=r_det)
 
 
+class _Line:
+    """The summands of theta along the complex line u = base + t*d at one B.
+
+    e(n.u - 1/2 n^T B n) = exp(L_n + 2*pi*t*s_n), with
+    L_n = 2*pi*(n.base - 1/2 n^T B n) and s_n = n.d.  The memo holds L and
+    s over the largest lattice ball asked for so far, in the order of
+    lattice_points, so a smaller ball is a prefix of it and a larger one
+    forms L and s for its new points only.
+    """
+
+    __slots__ = ("base", "direction", "B", "L", "s")
+
+    def __init__(self, base, direction, B):
+        self.base, self.direction, self.B = base, direction, B
+        self.L = self.s = np.empty(0, dtype=complex)
+
+    def terms(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """L and s over the ball ||n|| <= radius."""
+        pts = lattice_points(self.B.g, radius)
+        L, s = self.L, self.s
+        if len(pts) > len(L):
+            x = pts[len(L) :].astype(float)
+            quad = np.einsum("pi,pi->p", x @ self.B.entries, x)
+            L = np.concatenate([L, TWO_PI * (x @ self.base - 0.5 * quad)])
+            s = np.concatenate([s, x @ self.direction])
+            self.L, self.s = L, s
+        return L[: len(pts)], s[: len(pts)]
+
+
+def _scan(line: _Line, res: np.ndarray, ims: np.ndarray) -> np.ndarray:
+    """theta(base + t*d) at t = res[j] + i*ims[k], as a len(res) x len(ims)
+    array, each to certified absolute error < SCAN_EPS.
+
+    One ball serves every grid point: the one truncation_radius certifies
+    at the window corner of largest ||Re u||.  ||Re u|| is convex in t, so
+    that corner bounds it on the whole window, and by the monotonicity of
+    the radius rule (engine module docstring) the ball certifies every grid
+    point.  The grid is one contraction over the ball,
+
+        theta[j, k] = sum_n S[j, n] P[k, n],
+        S[j, n] = exp(L_n + 2*pi*(res[j] + i*c_n)*s_n),
+        P[k, n] = exp(2*pi*i*(ims[k] - c_n)*s_n),
+
+    so 2 x 41 exps per point, not 41 x 41.  The modulus of summand n is
+    the exp of a linear function of Im t, with slope -2*pi*Im s_n, and c_n
+    is the end of the imaginary range where it peaks.  So S[j, n], one exp
+    of the whole exponent, is the largest summand of point n on row j,
+    finite wherever the summands at the grid points are, and |P| <= 1: a
+    summand whose P underflows is below 2^-1074 |S[j, n]|, far below the
+    rounding of S[j, n] itself.  The points are contracted in tiles of
+    SCAN_TILE, one real product each, over the (re, im) view of S and a
+    block matrix of P.
+
+    Raises ToleranceUnreachable when a value is not finite in double
+    precision or the certificate cannot be issued.
+    """
+    corners = [line.base + complex(a, b) * line.direction for a in res[[0, -1]] for b in ims[[0, -1]]]
+    far = max(corners, key=lambda u: np.linalg.norm(u.real))
+    L, s = line.terms(truncation_radius(line.B, far, None, SCAN_EPS).radius)
+    peak = np.where(s.imag > 0, ims.min(), ims.max())
+    step = max(1, TILE_ELEMENTS // (2 * len(res) + 4 * len(ims)) // SCAN_TILE) * SCAN_TILE
+    sums = np.zeros((len(res), 2 * len(ims)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(L), step):
+            sn, cn = s[lo : lo + step], peak[lo : lo + step]
+            rate = TWO_PI * sn
+            S = np.exp((L[lo : lo + step] + 1j * cn * rate) + res[:, None] * rate)
+            # rows 2n and 2n + 1 of the block matrix: P[:, n] and i*P[:, n]
+            # as (re, im) pairs, so (re, im) of S[:, n] times them sums to
+            # (re, im) of S[:, n] * P[:, n]
+            P = np.empty((len(sn), 2, len(ims)), dtype=complex)
+            P[:, 0] = np.exp((1j * rate)[:, None] * (ims - cn[:, None]))
+            P[:, 1] = 1j * P[:, 0]
+            for t in range(0, len(sn), SCAN_TILE):
+                tile = P[t : t + SCAN_TILE].reshape(-1, len(ims))
+                sums += S[:, t : t + SCAN_TILE].view(float) @ tile.view(float)
+    out = sums.view(complex)
+    _require_finite(out)
+    return out
+
+
 def find_theta_zero(line, B, t_window=((-2.0, 2.0), (-2.0, 2.0))) -> np.ndarray:
     """A point u* = base + t*direction with |theta(u*, B)| < ZERO_TOL, found
     by a coarse scan of the complex t rectangle followed by Newton
     refinement on t -> theta(base + t*direction, B).
 
-    The ZERO_GRID x ZERO_GRID scan is one stacked evaluation
-    (theta_du_stack, eps 1e-8): the scan points share B, so they share
-    lattice balls and pay one truncation certificate per block of rows, not
-    one per point.  Newton starts from the five grid points of smallest
-    |theta| and evaluates theta and its gradient at DIVISOR_EPS.
+    Both evaluate the summands of one memo along the line (_Line).  The
+    ZERO_GRID x ZERO_GRID scan (_scan) is one contraction over one ball,
+    certified at SCAN_EPS.  Newton starts from the five grid points of
+    smallest |theta|; each step forms w_n = exp(L_n + 2*pi*t*s_n) over the
+    ball certified for first derivatives at DIVISOR_EPS, and takes
+    f = sum w and f' = 2*pi*sum s*w, the derivative along the direction,
+    in error below ||direction||_1 * DIVISOR_EPS.  A step certifies a new
+    ball only when its ||Re u|| exceeds the largest already certified,
+    whose ball covers every smaller one.
 
-    Raises NoZeroFound when no candidate in the window refines to a zero.
+    Raises NoZeroFound when no candidate in the window refines to a zero,
+    and ToleranceUnreachable when a value is not finite in double
+    precision or a certificate cannot be issued.
     """
     B = as_siegel(B)
     base = np.atleast_1d(np.asarray(line[0], dtype=complex))
@@ -244,16 +349,16 @@ def find_theta_zero(line, B, t_window=((-2.0, 2.0), (-2.0, 2.0))) -> np.ndarray:
         raise ValueError("line must be a (base, direction) pair of g-vectors")
     if not np.any(direction != 0):
         raise ValueError("direction must be nonzero")
+    memo = _Line(base, direction, B)
 
     (re_lo, re_hi), (im_lo, im_hi) = t_window
     res = np.linspace(re_lo, re_hi, ZERO_GRID)
     ims = np.linspace(im_lo, im_hi, ZERO_GRID)
     ts = (res[:, None] + 1j * ims[None, :]).ravel()
-    scan = theta_du_stack([(0,) * B.g], base + ts[:, None] * direction, B, 1e-8)
+    scan = _scan(memo, res, ims).ravel()
     # the five grid points of smallest |theta|, smallest first
-    cands = [complex(t) for t in ts[np.argsort(np.abs(scan[:, 0]), kind="stable")[:5]]]
+    cands = [complex(t) for t in ts[np.argsort(np.abs(scan), kind="stable")[:5]]]
 
-    grad_idx = [unit(B.g, i) for i in range(B.g)]
     span = max(re_hi - re_lo, im_hi - im_lo)
     margin = 2.0 * span / (ZERO_GRID - 1)
 
@@ -263,17 +368,24 @@ def find_theta_zero(line, B, t_window=((-2.0, 2.0), (-2.0, 2.0))) -> np.ndarray:
             and im_lo - margin <= t.imag <= im_hi + margin
         )
 
+    certified, radius = -1.0, 0.0
     for t0 in cands:
         t = t0
         for _ in range(60):
-            point = ThetaPoint(base + t * direction, B)
-            table = theta_du_many([(0,) * B.g] + grad_idx, point, DIVISOR_EPS)
-            f = table[(0,) * B.g]
+            u = base + t * direction
+            rho = float(np.linalg.norm(u.real))
+            if rho > certified:
+                radius = truncation_radius(B, u, unit(B.g, 0), DIVISOR_EPS).radius
+                certified = rho
+            L, s = memo.terms(radius)
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = np.exp(L + TWO_PI * t * s)
+                f, fp = complex(w.sum()), complex(TWO_PI * np.dot(s, w))
+            _require_finite(np.array([f, fp]))
             if abs(f) < ZERO_TOL:
                 if inside(t):
-                    return base + t * direction
+                    return u
                 break  # converged to a zero outside the window
-            fp = sum(direction[i] * table[grad_idx[i]] for i in range(B.g))
             if fp == 0:
                 break
             t = t - f / fp

@@ -274,6 +274,19 @@ class TestFitTargetFields:
         assert (err["error"], err["field"]) == ("InputError", field)
 
 
+class TestParseConfig:
+    def test_flags_of_one_call_do_not_reach_the_next(self):
+        """parse_config reuses one parser; each call starts from its
+        defaults."""
+        first = cli.parse_config(
+            ["fit", "--mu", "[1.0]", "--sigma", "[[2.0]]", "--seed", "5", "--tol", "1e-6"]
+        )
+        second = cli.parse_config(["fit", "--mu", "[0.5]", "--sigma", "[[1.0]]"])
+        assert (first.mu, first.sigma, first.seed, first.tol) == ([1.0], [[2.0]], 5, 1e-6)
+        assert (second.mu, second.sigma, second.seed, second.tol) == ([0.5], [[1.0]], 0, 1e-9)
+        assert second.params == {} and second.params_file is None
+
+
 class TestFitBooleans:
     """A JSON true/false in the fit target is an input error on its field,
     not a 1 or 0."""

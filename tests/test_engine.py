@@ -442,6 +442,24 @@ class TestSummandKernel:
         refs = np.array([mp_theta_du(u, B, idx, 420) for u in U[:4]])
         assert within_row_tolerance(stack[:4], refs, eps)
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_real_law_summands_are_the_complex_real_parts(self, rng, g):
+        """Real u and B: _summands_at forms no phase tables and no complex
+        exp, and returns real summands, bit for bit the real parts of the
+        complex kernel's, every phase of which is exactly 1.  At g = 5 the
+        ball at eps 1e-14 spans several chunks of _summands_at."""
+        from oracles import random_real_params
+
+        u, B = random_real_params(rng, g)
+        pts = lattice_points(g, truncation_radius(B, u, None, 1e-14).radius)
+        got = tg.engine._summands_at(pts, u, B)
+        K = int(np.abs(pts).max())
+        tables = tg.engine._phase_tables(np.zeros((1, g)), K)
+        B_planes = np.array([B, np.zeros_like(B)])
+        want = tg.engine._summands(pts, pts.astype(float), u[:, None], tables, K, B_planes)
+        assert got.dtype == np.float64 and len(got) == len(pts)
+        assert got.tobytes() == want[:, 0].real.tobytes()
+
     def test_tables_stay_inside_the_tile_budget(self, rng, monkeypatch):
         """g = 1, B = 1e-6: the ball reaches |n| = 3408.  Building the phase
         tables of all 128 rows at once took the heap peak from 2.7 MB (the

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import thetagauss as tg
-from thetagauss import DiscreteGaussian
-from thetagauss.engine import TWO_PI, ThetaPoint, theta, theta_du
+from thetagauss import DiscreteGaussian, engine, geometry
+from thetagauss.engine import TWO_PI, ThetaPoint, as_siegel, theta, theta_du, theta_du_stack
 from thetagauss.errors import (
     IndeterminatePoint,
     NoZeroFound,
@@ -11,6 +11,8 @@ from thetagauss.errors import (
     SingularDivisorPoint,
 )
 from thetagauss.geometry import (
+    ZERO_GRID,
+    ZERO_TOL,
     CubicCoefficients,
     ProjectivePoint,
     cubic_coefficients,
@@ -23,6 +25,8 @@ from thetagauss.geometry import (
     statistical_map,
     verify_cubic,
 )
+
+from oracles import brute_theta
 
 B_KUMMER = np.array([[1.0, 0.3], [0.3, 1.0]])
 
@@ -200,6 +204,98 @@ class TestFindThetaZero:
             )
 
 
+def _boom(*args, **kwargs):
+    raise AssertionError("a theta kernel of the engine was called")
+
+
+def lattice_shift(shift, B):
+    """The element i m + B n of the period lattice nearest to shift."""
+    B = np.asarray(B, dtype=complex)
+    n = np.round(np.linalg.solve(B.real, shift.real))
+    return 1j * np.round(shift.imag - B.imag @ n) + B @ n
+
+
+def workload_line(rng):
+    """A complex g = 2 law and line like the geometry_fixed_B workload's:
+    direction (1, 0.5 + 0.2i) through a point near the odd half-period."""
+    x = rng.uniform(0, 1, 6)
+    c, s = np.cos(np.pi * x[0]), np.sin(np.pi * x[0])
+    Q = np.array([[c, -s], [s, c]])
+    R = Q @ np.diag(0.6 + 0.8 * x[1:3]) @ Q.T
+    im12 = 0.2 + 0.3 * x[4]
+    B = np.triu(R) + np.triu(R, 1).T + 1j * np.array([[x[3] - 0.5, im12], [im12, x[5] - 0.5]])
+    direction = np.array([1.0, 0.5 + 0.2j])
+    return 0.5 * (np.array([1j, 0.0]) + B[:, 0]) - 0.37 * direction, direction, B
+
+
+class TestZeroScan:
+    """The scan of find_theta_zero against theta_du_stack at eps 1e-12, to
+    1e-12 of the grid's largest |theta|."""
+
+    @staticmethod
+    def assert_scan_matches(base, direction, B, window=(-2.0, 2.0)):
+        B = as_siegel(B)
+        base, direction = np.asarray(base, dtype=complex), np.asarray(direction, dtype=complex)
+        ax = np.linspace(*window, ZERO_GRID)
+        scan = geometry._scan(geometry._Line(base, direction, B), ax, ax)
+        ts = (ax[:, None] + 1j * ax[None, :]).ravel()
+        want = theta_du_stack([(0,) * B.g], base + ts[:, None] * direction, B, 1e-12)
+        want = want[:, 0].reshape(scan.shape)
+        assert np.max(np.abs(scan - want)) < 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("B", [0.8, 1.0, 1.6, 0.05, 1.2 + 0.4j])
+    def test_g1_lines(self, B):
+        self.assert_scan_matches([0.0], [1.0], [[B]])
+
+    def test_complex_g2_lines(self, rng):
+        for _ in range(3):
+            self.assert_scan_matches(*workload_line(rng))
+
+    @pytest.mark.parametrize("direction, B", [(0.3 + 0.7j, 0.03 + 0.1j), (0.3 + 1j, 0.03 + 0.1j)])
+    def test_moduli_spanning_more_than_the_double_range(self, direction, B):
+        """Lines whose far summands vary in modulus across the imaginary
+        window, exp(2*pi*4*|Im s_n|), by more than the double range: split
+        at the window's centre, their phase factors would lose the small
+        summands (0.3 + 0.7i) or overflow (0.3 + i)."""
+        line = geometry._Line(np.zeros(1, dtype=complex), np.array([direction]), as_siegel([[B]]))
+        ax = np.linspace(-2.0, 2.0, ZERO_GRID)
+        geometry._scan(line, ax, ax)
+        assert TWO_PI * 4.0 * np.max(np.abs(line.s.imag)) > np.log(np.finfo(float).max)
+        self.assert_scan_matches([0.0], [direction], [[B]])
+
+    def test_zero_finder_uses_no_point_kernel(self, rng, monkeypatch):
+        monkeypatch.setattr(geometry, "theta_du_stack", _boom)
+        monkeypatch.setattr(geometry, "theta_du_many", _boom)
+        monkeypatch.setattr(geometry, "theta", _boom)
+        monkeypatch.setattr(engine, "_summands", _boom)
+        base, direction, B = workload_line(rng)
+        u = find_theta_zero((base, direction), B)
+        assert abs(brute_theta(u, B, 10)) < ZERO_TOL
+
+
+class TestWideLaws:
+    """Wide laws whose zero the finder has always located: the scan keeps
+    each summand one exp, finite wherever the summands at the grid points
+    are.  Each zero is pinned, up to the period lattice, to the one found
+    before the scan became one contraction."""
+
+    def test_g1_small_B(self):
+        u = find_theta_zero((np.zeros(1), np.ones(1)), [[0.05]])
+        assert abs(brute_theta(u, np.array([[0.05]]), 40)) < ZERO_TOL
+        # |theta'| is about 1e-4 here, so |theta| < ZERO_TOL places a zero
+        # only to within ZERO_TOL / |theta'| of the exact one
+        slope = abs(theta_du((1,), ThetaPoint(u, [[0.05]])))
+        shift = u - np.array([0.025000103194554767 - 1.5000000000118223j])
+        assert np.max(np.abs(shift - lattice_shift(shift, [[0.05]]))) < 2 * ZERO_TOL / slope
+
+    def test_g2_wide_coordinate(self):
+        B = np.array([[5.0, 0.3], [0.3, 0.05]])
+        u = find_theta_zero((np.array([0.0, 0.3j]), np.array([1.0, 0.0])), B)
+        assert abs(brute_theta(u, B, 40)) < ZERO_TOL
+        shift = u - np.array([1.6 + 1.3000000000000003j, 0.3j])
+        assert np.max(np.abs(shift - lattice_shift(shift, B))) < 1e-12
+
+
 class TestGaussMap:
     def test_requires_divisor_point(self):
         with pytest.raises(ValueError):
@@ -374,9 +470,14 @@ class TestThetaZeroPinned:
     ]
 
     def test_g1_lines(self):
+        # theta(u + i m + B n) = 0 with theta(u), and zeros one period apart
+        # tie in |theta| on the scan up to rounding, which decides the one
+        # found; each zero is pinned modulo the lattice iZ + BZ
         for B, want in self.G1.items():
             u = find_theta_zero((np.zeros(1), np.ones(1)), [[B]])
-            assert abs(u[0] - want) < 1e-12
+            shift = u[0] - want
+            period = 1j * round(shift.imag) + B * round(shift.real / B)
+            assert abs(shift - period) < 1e-12
 
     def test_g2_lines(self):
         for k, (w, want) in enumerate(self.G2):
