@@ -289,11 +289,11 @@ def _scan(line: _Line, res: np.ndarray, ims: np.ndarray) -> np.ndarray:
     the exp of a linear function of Im t, with slope -2*pi*Im s_n, and c_n
     is the end of the imaginary range where it peaks.  So S[j, n], one exp
     of the whole exponent, is the largest summand of point n on row j,
-    finite wherever the summands at the grid points are, and |P| <= 1: a
-    summand whose P underflows is below 2^-1074 |S[j, n]|, far below the
-    rounding of S[j, n] itself.  The points are contracted in tiles of
-    SCAN_TILE, one real product each, over the (re, im) view of S and a
-    block matrix of P.
+    finite wherever the summands at the grid points are, and |P| <= 1:
+    where P underflows, the summand's error is at most 2^-1074 |S[j, n]|,
+    far below the rounding of S[j, n] itself.  The points are contracted
+    in tiles of SCAN_TILE, one real product each, over the (re, im) view
+    of S and a block matrix of P.
 
     Raises ToleranceUnreachable when a value is not finite in double
     precision or the certificate cannot be issued.
