@@ -42,12 +42,11 @@ from dataclasses import asdict
 import numpy as np
 
 from . import verify as verify_checks
-from .engine import EPS_FLOOR, PointSums, ThetaPoint, theta_du_stack
+from .engine import EPS_FLOOR, PointSums, ThetaPoint
 from .distribution import DiscreteGaussian
 from .errors import InvalidParameters, NumericalFailure
 from .fitting import CanonicalPoint, MomentData, fit, fit_from_sample
 from .geometry import (
-    ProjectivePoint,
     cubic_coefficients,
     identifiability_probe,
     kummer_quartic_fit,
@@ -379,17 +378,17 @@ def _run_kummer(args):
     if count < 36:
         raise InputError("count", "kummer needs at least 36 points")
     rng = np.random.Generator(np.random.Philox(args.seed))
-    # candidates u = i x + B y, rows (x1, x2, y1, y2) drawn in stream order;
-    # those near the divisor (|theta| < 0.2) are rejected, the first `count`
-    # others kept.  Each batch draws twice what is still missing.
-    U = np.empty((0, 2), dtype=complex)
-    while len(U) < count:
-        draws = rng.uniform(0.0, 1.0, (2 * (count - len(U)), 4))
-        cand = 1j * draws[:, :2] + draws[:, 2:] @ B.T
-        t = theta_du_stack([(0, 0)], cand, B, 1e-10)[:, 0]
-        U = np.vstack([U, cand[np.abs(t) >= 0.2]])
-    coords = statistical_map_stack(2, U[:count], B, 1e-13)
-    fit_result = kummer_quartic_fit(B, [ProjectivePoint(c) for c in coords])
+    # candidates u = i x + B y, rows (x1, x2, y1, y2) drawn in stream order,
+    # each batch twice what is still missing and mapped by one stacked
+    # evaluation; images near the divisor (coordinate 0, theta^2, below
+    # 0.2^2 in modulus) are rejected and the first `count` others kept
+    coords = np.empty((0, 4), dtype=complex)
+    while len(coords) < count:
+        draws = rng.uniform(0.0, 1.0, (2 * (count - len(coords)), 4))
+        cand = statistical_map_stack(2, 1j * draws[:, :2] + draws[:, 2:] @ B.T, B, 1e-13)
+        coords = np.vstack([coords, cand[np.abs(cand[:, 0]) >= 0.04]])
+    coords = coords[:count]
+    fit_result = kummer_quartic_fit(B, coords)
     echo = {"g": 2, "B": B, "count": count, "seed": args.seed}
     result = {
         "residual": fit_result.residual,

@@ -51,7 +51,7 @@ through exp(2*pi*rho)) and the search start (the peak of the shell-term
 profile, and rho/lmin).  A radius R found at the largest
 rho of a block therefore lies at or past the search start of every smaller
 rho, where the bound at R is no larger and so still below eps.  Repeated-B
-callers (the kummer job's map and its candidate filter) thus pay one
+callers (the kummer job's map of its candidates) thus pay one
 certificate per block, not one per argument; the zero finder of
 geometry certifies its scan of a line the same way, at the largest rho of
 its window.

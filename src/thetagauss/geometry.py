@@ -15,14 +15,14 @@ evaluates and fits:
     relations in the nu_k = (2*pi)^k kappa_k normalization.
   * g = 2, d = 2: the image lies on a unique quartic surface in P^3.
 
-Coordinates on the theta divisor itself degenerate to the Gauss map
-direction: the grade-d coordinates limit to a common multiple of
-(D_u theta)^a and everything of lower grade vanishes.
+The coordinates theta^|a| kappa_a are polynomials in the derivatives of
+theta, so one formula (statistical_map_stack) serves every point, on the
+theta divisor too: there everything below grade d vanishes and grade d is
+(-1)^(d-1) (d-1)! (2*pi)^-d (D_u theta)^a, the Gauss map direction.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import pi
 
@@ -48,7 +48,7 @@ from .errors import (
     RankDeficientInput,
     SingularDivisorPoint,
 )
-from .multiindex import indices_up_to, moment_map_indices, unit
+from .multiindex import indices_of_order, indices_up_to, moment_map_indices, unit
 
 DIVISOR_TOL = 1e-8
 
@@ -99,6 +99,10 @@ class ProjectivePoint:
             np.max(np.abs(self.coords / self.coords[k] - other.coords / other.coords[k]))
         )
 
+    def __array__(self, dtype=None, copy=None):
+        """The coords, so a list of points reads as a k x n array."""
+        return np.array(self.coords, dtype=dtype, copy=copy)
+
     def __repr__(self):
         return f"ProjectivePoint(dim={self.dim})"
 
@@ -106,10 +110,11 @@ class ProjectivePoint:
 def statistical_map(d: int, p: ThetaPoint, eps: float = 1e-12) -> ProjectivePoint:
     """Degree-d projective moment map at (u, B).
 
-    Off the divisor the coordinates are theta^d * kappa_a in the graded-lex
-    ordering of :func:`multiindex.moment_map_indices`.  On the (smooth part
-    of the) divisor they continue to the limit values: zero below grade d,
-    (D_u theta)^a at grade d, a common nonzero constant dropped projectively.
+    The coordinates are theta^d * kappa_a in the graded-lex ordering of
+    :func:`multiindex.moment_map_indices`, a polynomial in the derivatives
+    of theta (:func:`statistical_map_stack`) that holds on the divisor too.
+    There (|theta| < DIVISOR_TOL, taken as 0) every coordinate below grade
+    d is 0 and grade d is (-1)^(d-1) (d-1)! (2*pi)^-d (D_u theta)^a.
 
     Raises IndeterminatePoint when every coordinate vanishes (singular
     divisor point).
@@ -122,30 +127,26 @@ def statistical_map_stack(d: int, U, B, eps: float = 1e-12) -> np.ndarray:
     row u of the k x g array U, at the one matrix B, from one stacked theta
     evaluation.  Returns a complex k x len(moment_map_indices(g, d)) array.
 
-    Raises IndeterminatePoint when every coordinate of some row vanishes.
+    The moment-cumulant recursion on m_a = theta^(|a|-1) (2*pi)^-|a| D^a theta
+    (|a| >= 1) returns K_a = theta^|a| kappa_a with no division, because each
+    of its products theta^|b+e_i| kappa_(b+e_i) * theta^|a'-b| mu_(a'-b) has
+    the degree |a| of its sum; coordinate a is theta^(d-|a|) K_a.
+
+    Raises IndeterminatePoint when every coordinate of some row is below
+    1e-12; on the divisor that threshold sees the grade-d coordinates
+    scaled by (d-1)!/(2*pi)^d.
     """
     if d < 2:
         raise ValueError("the map needs degree d >= 2")
     B = as_siegel(B)
     g = B.g
-    labels = moment_map_indices(g, d)
     idx = indices_up_to(g, d)
-    table = dict(zip(idx, theta_du_stack(idx, U, B, eps).T))
-    t = table[(0,) * g]
-    coords = np.zeros((len(t), len(labels)), dtype=complex)
-
-    off = np.abs(t) >= DIVISOR_TOL
-    if off.any():
-        to = t[off]
-        kappa = moments_to_cumulants(moment_table({a: v[off] for a, v in table.items()}), g)
-        for j, a in enumerate(labels):
-            coords[off, j] = to**d if sum(a) == 0 else to**d * kappa[a]
-    on = ~off
-    if on.any():
-        firsts = [table[unit(g, i)][on] for i in range(g)]
-        for j, a in enumerate(labels):
-            if sum(a) == d:
-                coords[on, j] = np.prod([f**ai for f, ai in zip(firsts, a)], axis=0)
+    derivs = theta_du_stack(idx, U, B, eps)
+    t = np.where(np.abs(derivs[:, 0]) < DIVISOR_TOL, 0, derivs[:, 0])
+    table = {a: t ** (sum(a) - 1) * derivs[:, j] / TWO_PI ** sum(a) for j, a in enumerate(idx) if j}
+    K = moments_to_cumulants(table, g)
+    K[(0,) * g] = 1  # coordinate 0 is theta^d
+    coords = np.stack([t ** (d - sum(a)) * K[a] for a in moment_map_indices(g, d)], axis=1)
     if np.any(np.max(np.abs(coords), axis=1) < 1e-12):
         raise IndeterminatePoint(
             "all map coordinates vanish; singular point of the theta divisor"
@@ -331,7 +332,10 @@ def find_theta_zero(line, B, t_window=((-2.0, 2.0), (-2.0, 2.0))) -> np.ndarray:
     Both evaluate the summands of one memo along the line (_Line).  The
     ZERO_GRID x ZERO_GRID scan (_scan) is one contraction over one ball,
     certified at SCAN_EPS.  Newton starts from the five grid points of
-    smallest |theta|; each step forms w_n = exp(L_n + 2*pi*t*s_n) over the
+    smallest |theta| and, once |theta| < ZERO_TOL, steps on while |theta|
+    still falls, so a flat zero (small |theta'|) is found to rounding, not
+    to ZERO_TOL / |theta'|; the last such point is the zero when it lies
+    inside the window.  Each step forms w_n = exp(L_n + 2*pi*t*s_n) over the
     ball certified for first derivatives at DIVISOR_EPS, and takes
     f = sum w and f' = 2*pi*sum s*w, the derivative along the direction,
     in error below ||direction||_1 * DIVISOR_EPS.  A step certifies a new
@@ -370,7 +374,7 @@ def find_theta_zero(line, B, t_window=((-2.0, 2.0), (-2.0, 2.0))) -> np.ndarray:
 
     certified, radius = -1.0, 0.0
     for t0 in cands:
-        t = t0
+        t, best = t0, None
         for _ in range(60):
             u = base + t * direction
             rho = float(np.linalg.norm(u.real))
@@ -382,15 +386,17 @@ def find_theta_zero(line, B, t_window=((-2.0, 2.0), (-2.0, 2.0))) -> np.ndarray:
                 w = np.exp(L + TWO_PI * t * s)
                 f, fp = complex(w.sum()), complex(TWO_PI * np.dot(s, w))
             _require_finite(np.array([f, fp]))
+            if best is not None and not abs(f) < best[0]:
+                break  # |theta| stopped falling: best is the zero
             if abs(f) < ZERO_TOL:
-                if inside(t):
-                    return u
-                break  # converged to a zero outside the window
+                best = (abs(f), u, inside(t))
             if fp == 0:
                 break
             t = t - f / fp
             if abs(t - t0) > 2.0 * span:  # drifted far out of the window
                 break
+        if best is not None and best[2]:
+            return best[1]
     raise NoZeroFound("no theta zero located on the line inside the window")
 
 
@@ -429,25 +435,26 @@ def fit_vanishing_form(points, degree: int) -> FormFit:
     minimizes the vanishing residual, via SVD of the monomial matrix with
     every point normalized to unit max modulus.
 
+    `points` is a k x n array of homogeneous coordinate rows, or anything
+    np.asarray reads as one, such as a list of ProjectivePoints.  The
+    monomials are indices_of_order(n, degree), lexicographically descending.
+
     Raises RankDeficientInput with fewer points than monomials or when the
     points span too small a subspace (two-dimensional nullspace).
     """
-    points = list(points)
-    if not points:
+    Z = np.asarray(points, dtype=complex)
+    if Z.size == 0:
         raise RankDeficientInput("no points given")
-    nvars = len(points[0].coords)
-    monomials = [
-        a for a in itertools.product(range(degree + 1), repeat=nvars) if sum(a) == degree
-    ]
-    monomials.sort(reverse=True)
-    if len(points) < len(monomials):
+    if Z.ndim != 2:
+        raise ValueError("points must be rows of homogeneous coordinates")
+    nvars = Z.shape[1]
+    monomials = indices_of_order(nvars, degree)
+    if len(Z) < len(monomials):
         raise RankDeficientInput(
             f"need at least {len(monomials)} points for a degree-{degree} form "
-            f"in {nvars} variables, got {len(points)}"
+            f"in {nvars} variables, got {len(Z)}"
         )
-    if any(len(pt.coords) != nvars for pt in points):
-        raise ValueError("points live in different projective spaces")
-    Z = np.array([pt.normalized() for pt in points])
+    Z = Z / Z[np.arange(len(Z)), np.argmax(np.abs(Z), axis=1)][:, None]
     M = np.prod(Z[:, None, :] ** np.array(monomials)[None, :, :], axis=2)
     _, s, vh = np.linalg.svd(M)
     if s[-2] < 1e-12:
@@ -465,18 +472,18 @@ def fit_vanishing_form(points, degree: int) -> FormFit:
 def kummer_quartic_fit(B, points) -> FormFit:
     """Quartic surface through d = 2 map images of a g = 2 parameter.
 
-    `points` should be at least 40 pairwise distinct projective points in
-    P^3 produced by the degree-2 map at B, one at a time by
-    statistical_map(2, .) or all at once by statistical_map_stack(2, U, B)
-    (one stacked theta evaluation for every point); the fit certifies the Kummer
-    quartic when the residual is ~0 and the second-smallest singular value
-    is bounded away from it.
+    `points` should be at least 40 pairwise distinct map images at B, as
+    the k x 4 array statistical_map_stack(2, U, B) returns (one stacked
+    theta evaluation for every point) or as ProjectivePoints from
+    statistical_map(2, .); the fit certifies the Kummer quartic when the
+    residual is ~0 and the second-smallest singular value is bounded away
+    from it.
     """
     B = as_siegel(B)
     if B.g != 2:
         raise ValueError("the Kummer quartic lives over g = 2")
-    points = list(points)
-    if any(len(pt.coords) != 4 for pt in points):
+    points = np.asarray(points, dtype=complex)
+    if points.size and (points.ndim != 2 or points.shape[1] != 4):
         raise ValueError("expected points in P^3 from the degree-2 map")
     return fit_vanishing_form(points, 4)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thetagauss import cli, errors, verify
+from thetagauss import cli, errors, geometry, verify
 from thetagauss.engine import ThetaPoint, theta
 from thetagauss.geometry import (
     ProjectivePoint,
@@ -16,6 +16,7 @@ from thetagauss.geometry import (
     kummer_quartic_fit,
     statistical_map,
 )
+from thetagauss.multiindex import indices_up_to
 
 # |Im B12| >= 0.2 keeps the surface from splitting into a product of curves
 B_KUMMER = np.array([[0.9 + 0.1j, 0.15 + 0.3j], [0.15 + 0.3j, 1.1 - 0.2j]])
@@ -89,6 +90,31 @@ class TestKummer:
         assert res["second_smallest"] == pytest.approx(want.singular_values[-2], rel=1e-9)
         got = ProjectivePoint([complex(*z) for z in res["coefficients"]])
         assert ProjectivePoint(want.coeffs).distance(got) < 1e-8
+
+    def test_one_stacked_evaluation_per_batch(self, tmp_path, monkeypatch):
+        # each batch draws twice the points still missing and maps them all
+        # with one evaluation of the whole degree-2 table; theta is never
+        # evaluated on its own to filter the candidates.  Under 1 % of the
+        # candidates are rejected at this B, so one batch is the usual case.
+        calls = []
+
+        def counting(indices, U, B, eps):
+            out = evaluate(indices, U, B, eps)
+            calls.append((list(indices), len(U), np.abs(out[:, 0])))
+            return out
+
+        evaluate = geometry.theta_du_stack
+        monkeypatch.setattr(geometry, "theta_du_stack", counting)
+        count = 45
+        params = write_params(tmp_path / "p.json", B_KUMMER)
+        code, _ = run(tmp_path, ["kummer", "--params", params, "--seed", "7", "--count", str(count)])
+        assert code == 0
+        kept = 0
+        for indices, rows, t in calls:
+            assert indices == indices_up_to(2, 2)
+            assert rows == 2 * (count - kept)
+            kept += int(np.sum(t >= 0.2))
+        assert kept >= count
 
     def test_too_few_points_is_input_error(self, tmp_path):
         params = write_params(tmp_path / "p.json", B_KUMMER)

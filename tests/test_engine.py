@@ -460,7 +460,7 @@ class TestSummandKernel:
         assert got.dtype == np.float64 and len(got) == len(pts)
         assert got.tobytes() == want[:, 0].real.tobytes()
 
-    def test_tables_stay_inside_the_tile_budget(self, rng, monkeypatch):
+    def test_tables_stay_inside_the_tile_budget(self, rng):
         """g = 1, B = 1e-6: the ball reaches |n| = 3408.  Building the phase
         tables of all 128 rows at once took the heap peak from 2.7 MB (the
         cos/sin kernel) to 35 MB."""
@@ -470,8 +470,6 @@ class TestSummandKernel:
         budget = truncation_radius([[1e-6]], U[-1], (0,), 1e-12)
         assert budget.radius == 3408
         tg.engine.theta_du_stack([(0,)], U, [[1e-6]])  # fill the lattice cache
-        # the radius search is pure Python, slow under tracemalloc
-        monkeypatch.setattr(tg.engine, "truncation_radius", lambda *args: budget)
         tracemalloc.start()
         try:
             tg.engine.theta_du_stack([(0,)], U, [[1e-6]])

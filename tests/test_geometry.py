@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,10 @@ from thetagauss.geometry import (
     kummer_quartic_fit,
     log_derivatives,
     statistical_map,
+    statistical_map_stack,
     verify_cubic,
 )
+from thetagauss.multiindex import indices_of_order, moment_map_indices, unit
 
 from oracles import brute_theta
 
@@ -120,6 +124,53 @@ class TestStatisticalMap:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             statistical_map(1, ThetaPoint([0.1], [[1.0]]))
+
+
+B_COMPLEX = {
+    1: np.array([[1.2 + 0.4j]]),
+    2: np.array([[0.9 + 0.1j, 0.15 + 0.3j], [0.15 + 0.3j, 1.1 - 0.2j]]),
+}
+MAP_CASES = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)]
+
+
+class TestMapFormula:
+    """The map as one polynomial in the derivative table, on and off the
+    divisor, at complex B."""
+
+    @pytest.mark.parametrize("g, d", MAP_CASES)
+    def test_off_divisor_is_theta_power_times_log_derivatives(self, rng, g, d):
+        B = B_COMPLEX[g]
+        U = np.array([torus_point(rng, B) for _ in range(6)])
+        coords = statistical_map_stack(d, U, B)
+        for u, row in zip(U, coords):
+            p = ThetaPoint(u, B)
+            t, nus = theta(p), log_derivatives(p, d)
+            want = [t**d * (nus[a] / TWO_PI ** sum(a) if any(a) else 1.0) for a in moment_map_indices(g, d)]
+            assert np.max(np.abs(row - want)) < 1e-12 * np.max(np.abs(row))
+
+    @pytest.mark.parametrize("g, d", MAP_CASES)
+    def test_on_divisor_is_the_scaled_gauss_veronese(self, rng, g, d):
+        """Below grade d exactly 0; grade d is
+        (-1)^(d-1) (d-1)! (2 pi)^-d (D_u theta)^a."""
+        B = B_COMPLEX[g]
+        if g == 1:
+            points = [0.5 * (1j + B[0])]  # the odd half-period
+        else:
+            direction = np.array([1.0, 0.5 + 0.2j])
+            points = [
+                find_theta_zero((np.array([0.0, complex(*rng.uniform(-0.5, 0.5, 2))]), direction), B)
+                for _ in range(3)
+            ]
+        labels = moment_map_indices(g, d)
+        scale = (-1) ** (d - 1) * math.factorial(d - 1) / TWO_PI**d
+        for u in points:
+            row = statistical_map_stack(d, np.atleast_2d(u), B)[0]
+            grad = np.array([theta_du(unit(g, i), ThetaPoint(u, B), 1e-13) for i in range(g)])
+            low = np.array([sum(a) < d for a in labels])
+            want = np.array([scale * np.prod(grad ** np.array(a)) for a in labels])
+            want[low] = 0
+            assert np.all(row[low] == 0)
+            assert np.max(np.abs(row - want)) < 1e-10 * np.max(np.abs(want))
 
 
 class TestCubicCoefficients:
@@ -288,6 +339,14 @@ class TestWideLaws:
         shift = u - np.array([0.025000103194554767 - 1.5000000000118223j])
         assert np.max(np.abs(shift - lattice_shift(shift, [[0.05]]))) < 2 * ZERO_TOL / slope
 
+    def test_g1_small_B_zero_to_rounding(self):
+        """|theta'| is about 1e-4 at this zero, so Newton keeps stepping past
+        |theta| < ZERO_TOL: the zero is the odd half-period (i + B)/2 to
+        rounding, not to ZERO_TOL / |theta'| ~ 1e-6."""
+        u = find_theta_zero((np.zeros(1), np.ones(1)), [[0.05]])
+        shift = u - np.array([0.025 + 0.5j])
+        assert np.max(np.abs(shift - lattice_shift(shift, [[0.05]]))) < 1e-11
+
     def test_g2_wide_coordinate(self):
         B = np.array([[5.0, 0.3], [0.3, 0.05]])
         u = find_theta_zero((np.array([0.0, 0.3j]), np.array([1.0, 0.0])), B)
@@ -429,6 +488,17 @@ class TestKummer:
         for mono, val in got.items():
             if mono not in want:
                 assert abs(val / scale) < 1e-7
+
+
+    def test_array_and_point_list_give_the_same_fit(self, rng):
+        U = np.array([torus_point(rng, B_KUMMER) for _ in range(40)])
+        coords = statistical_map_stack(2, U, B_KUMMER, 1e-13)
+        from_array = fit_vanishing_form(coords, 4)
+        from_points = fit_vanishing_form([ProjectivePoint(c) for c in coords], 4)
+        assert np.array_equal(from_array.coeffs, from_points.coeffs)
+        assert np.array_equal(from_array.singular_values, from_points.singular_values)
+        assert from_array.residual == from_points.residual
+        assert from_array.monomials == from_points.monomials == indices_of_order(4, 4)
 
 
 class TestProbe:
