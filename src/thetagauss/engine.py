@@ -28,50 +28,55 @@ ball may hold more than POINT_BUDGET points: a certificate that needs a
 larger one raises ToleranceUnreachable before anything is enumerated, and
 the held balls of all genera together hold at most that many.
 
-One point is evaluated through PointSums, which keeps the summands of its
-point over the largest certified ball asked for so far: a table of any
-order forms summands only for the points past the held prefix and
-contracts the prefix it needs, so theta, the order-2 and the
-order-4 tables of one discrete Gaussian sum each lattice point once.
-theta, theta_du and theta_du_many are one-shot PointSums.  PointSums forms
-its summands with _summands_at, the one summand formula at explicit
-points, which the pmf and the sampler's weights use too.
+Every evaluation forms its summands in one place and contracts them in
+one place.  _summands_at forms e(n.u - 1/2 n^T B n) at explicit lattice
+points, for one argument u or for the k rows of a k x g array, and
+_tiled_sums contracts an N x k array of such terms with the monomial
+table n^a.  The two evaluators differ only in how they pick the points
+and the rows.
 
-Many arguments are evaluated stacked.  theta_du_stack takes k arguments u
-(the rows of a k x g array) at one B and returns D^a theta for every row
-and multi-index, with the summand formula (_summands) and the tiled
-contraction (_tiled_sums) that PointSums uses.  Rows are sorted by
-rho = ||Re u|| and cut into blocks of STACK_BLOCK rows, and each block is
-summed over one ball, with the radius truncation_radius certifies at the
-block's largest rho for the highest order asked for.  That radius is a
-true certificate for every row of the block, because both parts of the
+PointSums evaluates one point.  It keeps the point's summands over the
+largest certified ball asked for so far: a table of any order forms
+summands only for the points past the held prefix and contracts, as one
+column, the prefix it needs, so theta, the order-2 and the order-4 tables
+of one discrete Gaussian sum each lattice point once.  theta, theta_du and
+theta_du_many are one-shot PointSums; the pmf and the sampler's weights
+call _summands_at directly.
+
+theta_du_stack evaluates k arguments u (the rows of a k x g array) at one
+B, and returns D^a theta for every row and multi-index.  Rows are sorted
+by rho = ||Re u|| and cut into blocks of STACK_BLOCK rows, and each block
+is summed over one ball, with the radius truncation_radius certifies at
+the block's largest rho for the highest order asked for.  That radius is
+a true certificate for every row of the block, because both parts of the
 radius rule grow with rho: the tail bound (its head term and first shell
 term, through the factor exp(2*pi*rho*x), x >= 0, and its shell ratio,
 through exp(2*pi*rho)) and the search start (the peak of the shell-term
-profile, and rho/lmin).  A radius R found at the largest
-rho of a block therefore lies at or past the search start of every smaller
-rho, where the bound at R is no larger and so still below eps.  Repeated-B
-callers (the kummer job's map of its candidates) thus pay one
-certificate per block, not one per argument; the zero finder of
-geometry certifies its scan of a line the same way, at the largest rho of
-its window.
+profile, and rho/lmin).  A radius R found at the largest rho of a block
+therefore lies at or past the search start of every smaller rho, where
+the bound at R is no larger and so still below eps.  A block is summed in
+passes of rows: each pass forms its N x k terms over the whole ball with
+_summands_at and contracts them, and its phase tables and its terms each
+hold at most TILE_ELEMENTS doubles, so a larger ball takes more passes of
+fewer rows.  A repeated-B caller, such as statistical_map_stack (through
+which the kummer job maps its candidates), thus pays one certificate per
+block, not one per argument; the zero finder of geometry certifies its
+scan of a line the same way, at the largest rho of its window.
 
 Each summand is a magnitude times a unit-modulus phase.  The magnitude
 exp(2*pi*(n.Re u - 1/2 n^T Re B n)) is one exp per point and row.  The
 phase e(i*Im E) splits into a per-point factor exp(-i*pi n^T Im B n),
 shared by all rows, and one factor exp(2*pi*i n_i Im u_i) per coordinate,
-gathered at n_i from a table over j in [-K, K] (K the block radius) built
-once per row for the whole ball, so no sine or cosine is taken per point
+gathered at n_i from a table over j in [-K, K] (K the largest |n_i| of
+the points) built once per row, so no sine or cosine is taken per point
 and row.  At real u and B every phase is 1, and _summands_at returns the
-real magnitudes alone, with no tables and no complex exp.  Rows whose
-tables would exceed TILE_ELEMENTS doubles are summed in several passes
-over the ball.  The complex terms, viewed as interleaved
-(re, im) pairs, are contracted with the table of monomials n^a in one real
-matrix product per tile of lattice points; each monomial row is its
-parent's row (a minus the last nonzero unit vector) times one coordinate,
-exact while the entries are integers below 2^53.  A value that is not
-finite in double precision (the summands overflow) raises
-ToleranceUnreachable.
+real magnitudes alone, with no tables and no complex exp.  The terms, cast
+to complex and viewed as interleaved (re, im) pairs, are contracted with
+the table of monomials n^a in one real matrix product per tile of lattice
+points; each monomial row is its parent's row (a minus the last nonzero
+unit vector) times one coordinate, exact while the entries are integers
+below 2^53.  A value that is not finite in double precision (the summands
+overflow) raises ToleranceUnreachable.
 
 The monomial table depends on the ball and the index set alone, not on
 (u, B), so _tiled_sums keeps it in _TILES, keyed by (g, monomial steps):
@@ -431,15 +436,15 @@ _TILES: dict = {}
 _TILES_LOCK = threading.Lock()
 
 
-def _tiled_sums(pts: np.ndarray, k: int, steps: tuple, terms_of) -> np.ndarray:
+def _tiled_sums(pts: np.ndarray, terms: np.ndarray, steps: tuple) -> np.ndarray:
     """sum_n n^a t_n over the lattice points `pts` for each row a of the
-    monomial table `steps` (rows of the result) and each of k arguments
-    (columns), where terms_of(lo, tile, x) returns the N x k complex terms
-    t_n of the tile pts[lo : lo + N] (x: the tile as floats).
+    monomial table `steps` (rows of the result) and each column of the
+    N x k terms t (columns of the result, complex).
 
     The points are taken in tiles, slices of the table _TILES holds, whose
-    monomials plus terms hold at most TILE_ELEMENTS doubles, each
-    contracted in one real matrix product.
+    monomials plus terms hold at most TILE_ELEMENTS doubles; each tile's
+    terms, cast to complex when real, are contracted in one real matrix
+    product as interleaved (re, im) pairs.
     """
     n, g = pts.shape
     key = (g, steps)
@@ -452,44 +457,48 @@ def _tiled_sums(pts: np.ndarray, k: int, steps: tuple, terms_of) -> np.ndarray:
             _TILES[key] = ((xs, monos),)
             while sum(x.nbytes + m.nbytes for ((x, m),) in _TILES.values()) > TILE_CACHE_BYTES:
                 del _TILES[next(iter(_TILES))]
+    k = terms.shape[1]
     step = max(1, TILE_ELEMENTS // (len(steps) + 1 + 2 * k))
     sums = np.zeros((len(steps) + 1, 2 * k))
     for lo in range(0, n, step):
-        tile = pts[lo : lo + step]
-        if len(xs) >= n:
-            x, mono = xs[lo : lo + len(tile)], monos[:, lo : lo + len(tile)]
-        else:
-            x = tile.astype(float)
-            mono = _monomials(x.T, steps)
-        sums += mono @ terms_of(lo, tile, x).view(float)
+        tile = slice(lo, min(lo + step, n))
+        mono = monos[:, tile] if len(xs) >= n else _monomials(pts[tile].astype(float).T, steps)
+        sums += mono @ terms[tile].astype(complex, copy=False).view(float)
     return sums.view(complex)
 
 
-def _summands_at(pts: np.ndarray, u: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """e(n.u - 1/2 n^T B n) at the integer points `pts` (N x g), for one
+def _summands_at(pts: np.ndarray, U: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """e(n.u - 1/2 n^T B n) at the integer points `pts` (N x g), for each
     argument u at the matrix B: the kernel _summands with phase tables up
     to K, the largest |n_i|, in chunks whose float points and B products
-    hold at most TILE_ELEMENTS doubles.  Returns N summands, which are not
-    finite where they overflow: complex, or real when u and B are real, for
-    then every phase is 1 and the kernel forms no phase tables and no
-    complex exp.
+    hold at most TILE_ELEMENTS doubles.  U is one argument (a g-vector),
+    for which N summands are returned, or the k x g array of k arguments,
+    for which an N x k array is.  The summands are not finite where they
+    overflow.  They are complex, or real when U and B are real, for then
+    every phase is 1 and the kernel forms no phase tables and no complex
+    exp.  This is the one place summands are formed: PointSums,
+    theta_du_stack, the pmf and the sampler's weights all call it.
 
-    Raises ToleranceUnreachable when the phase tables, g(2K + 1) entries,
-    would exceed POINT_BUDGET, whether or not they are formed.
+    Raises ToleranceUnreachable when the phase tables of one argument,
+    g(2K + 1) entries, would exceed POINT_BUDGET, whether or not they are
+    formed.
     """
+    V = np.atleast_2d(U)
+    g = V.shape[1]
     K = int(np.abs(pts).max(initial=0))
-    if len(u) * (2 * K + 1) > POINT_BUDGET:
+    if g * (2 * K + 1) > POINT_BUDGET:
         raise ToleranceUnreachable(f"phase tables to |n_i| = {K} exceed {POINT_BUDGET} entries")
-    re_V = np.ascontiguousarray(u.real[:, None])
-    if u.imag.any() or B.imag.any():
-        B_planes, tables = np.array([B.real, B.imag]), _phase_tables(u.imag[None, :], K)
+    re_V = np.ascontiguousarray(V.real.T)
+    if V.imag.any() or B.imag.any():
+        B_planes, tables = np.array([B.real, B.imag]), _phase_tables(V.imag, K)
     else:
         B_planes, tables = np.array([B.real]), None
-    step = max(1, TILE_ELEMENTS // (3 * len(u)))
+    step = max(1, TILE_ELEMENTS // (3 * g))
     chunks = [pts[lo : lo + step] for lo in range(0, len(pts), step)]
     with np.errstate(over="ignore", invalid="ignore"):
         terms = [_summands(c, c.astype(float), re_V, tables, K, B_planes) for c in chunks]
-    return np.concatenate(terms)[:, 0]
+    terms = np.concatenate(terms)
+    return terms if np.ndim(U) == 2 else terms[:, 0]
 
 
 def _require_finite(values: np.ndarray):
@@ -500,21 +509,35 @@ def _require_finite(values: np.ndarray):
         )
 
 
+def _derivatives(pts: np.ndarray, terms: np.ndarray, plan: tuple) -> np.ndarray:
+    """D^a theta = (2*pi)^|a| sum_n n^a t_n for each multi-index of a
+    _monomial_plan (rows) and each column of the N x k terms t (columns).
+
+    Raises ToleranceUnreachable when a value is not finite.
+    """
+    steps, select, scale, _ = plan
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = scale * _tiled_sums(pts, terms, steps)[select]
+    _require_finite(values)
+    return values
+
+
 class PointSums:
     """Certified tables D^a_u theta at one point (u, B), all from one memo
     of the point's summands.
 
-    The memo holds e(n.u - 1/2 n^T B n) over the largest certified ball
-    asked for so far, in the shell order of lattice_points, and that
-    ball's radius.  A table certifies its radius for the highest order of
-    its indices, forms summands only for the points past the held prefix
-    (a smaller ball is a prefix of a larger one) and contracts the ball's
-    prefix with the monomial table, in the tiles theta_du_stack uses, so a
-    table is bit-identical to a one-shot one and independent of the order
-    in which tables were asked for: a summand does not depend on the ball
-    it was formed for, since the phase-table entry at j is the same for
-    every table radius K >= |j|.  The memo, (radius, summands), is
-    replaced as one object, so a race between threads only recomputes.
+    The memo holds the summands _summands_at forms at the point, over the
+    largest certified ball asked for so far, in the shell order of
+    lattice_points, and that ball's radius.  A table certifies its radius
+    for the highest order of its indices, forms summands only for the
+    points past the held prefix (a smaller ball is a prefix of a larger
+    one) and hands the ball's prefix of the memo to _tiled_sums as one
+    column.  A table is therefore bit-identical to a one-shot one and
+    independent of the order in which tables were asked for: a summand
+    does not depend on the ball it was formed for, since the phase-table
+    entry at j is the same for every table radius K >= |j|.  The memo,
+    (radius, summands), is replaced as one object, so a race between
+    threads only recomputes.
     """
 
     __slots__ = ("point", "eps", "_held")
@@ -538,17 +561,14 @@ class PointSums:
         """
         p = self.point
         idx = tuple(exponents(a, p.g) for a in indices)
-        steps, select, scale, worst = _monomial_plan(idx, p.g)
-        radius = truncation_radius(p.B, p.u, worst, self.eps).radius
+        plan = _monomial_plan(idx, p.g)
+        radius = truncation_radius(p.B, p.u, plan[3], self.eps).radius
         pts = lattice_points(p.g, radius)
         terms = self._held[1]
         if len(pts) > len(terms):
             terms = np.concatenate([terms, _summands_at(pts[len(terms) :], p.u, p.B.entries)])
             self._held = (radius, terms)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = _tiled_sums(pts, 1, steps, lambda lo, tile, x: terms[lo : lo + len(tile), None])
-            values = (scale * sums[select])[:, 0]
-        _require_finite(values)
+        values = _derivatives(pts, terms[: len(pts), None], plan)[:, 0]
         return {a: complex(v) for a, v in zip(idx, values)}
 
 
@@ -562,9 +582,12 @@ def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
     Rows are taken in order of increasing ||Re u|| and summed in blocks of
     STACK_BLOCK rows, each block over one lattice ball certified at its
     largest ||Re u|| for the highest order in `indices` (see the module
-    docstring for why that radius certifies every row of the block).  The
-    ball is summed in tiles of at most TILE_ELEMENTS array entries, and a
-    block whose phase tables would exceed that in several passes of rows.
+    docstring for why that radius certifies every row of the block).  A
+    block is summed in passes of rows: a pass forms the N x k summands of
+    its rows over the ball with _summands_at (real ones, with no phase
+    tables, when its rows and B are real) and contracts them with
+    _tiled_sums.  Its phase tables and its terms each hold at most
+    TILE_ELEMENTS doubles, so a large ball takes several passes.
 
     Raises ToleranceUnreachable when a value is not finite in double
     precision (the summands overflow) or a certificate cannot be issued.
@@ -574,32 +597,20 @@ def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[1] != g:
         raise ValueError(f"U must be a k x {g} array of arguments")
-    idx = tuple(exponents(a, g) for a in indices)
-    steps, select, scale, worst = _monomial_plan(idx, g)
-    B_planes = np.array([B.entries.real, B.entries.imag])
-    out = np.empty((len(U), len(idx)), dtype=complex)
+    plan = _monomial_plan(tuple(exponents(a, g) for a in indices), g)
+    out = np.empty((len(U), len(plan[1])), dtype=complex)
     order = np.argsort(np.einsum("ri,ri->r", U.real, U.real), kind="stable")
     for start in range(0, len(U), STACK_BLOCK):
         block = order[start : start + STACK_BLOCK]
-        radius = truncation_radius(B, U[block[-1]], worst, eps).radius
+        radius = truncation_radius(B, U[block[-1]], plan[3], eps).radius
         pts = lattice_points(g, radius)
-        K = int(radius)
         # rows per pass over the ball: their phase tables, g x (2K+1)
-        # complex entries per row, hold at most TILE_ELEMENTS doubles
-        per_pass = max(1, TILE_ELEMENTS // (2 * g * (2 * K + 1)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(block), per_pass):
-                rows = block[lo : lo + per_pass]
-                re_V = np.ascontiguousarray(U[rows].real.T)
-                tables = _phase_tables(U[rows].imag, K)
-                sums = _tiled_sums(
-                    pts,
-                    len(rows),
-                    steps,
-                    lambda _, tile, x: _summands(tile, x, re_V, tables, K, B_planes),
-                )
-                out[rows] = (scale * sums[select]).T
-    _require_finite(out)
+        # complex entries per row, and their terms, N complex entries per
+        # row, each hold at most TILE_ELEMENTS doubles
+        per_pass = max(1, TILE_ELEMENTS // (2 * max(g * (2 * int(radius) + 1), len(pts))))
+        for lo in range(0, len(block), per_pass):
+            rows = block[lo : lo + per_pass]
+            out[rows] = _derivatives(pts, _summands_at(pts, U[rows], B.entries), plan).T
     return out
 
 

@@ -477,3 +477,78 @@ class TestSummandKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2.7e6
+
+
+class TestOneSummationPath:
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_real_stack_forms_no_phase_tables(self, rng, g, monkeypatch):
+        """Real rows at real B: the stack takes the real summands of
+        _summands_at, as PointSums does, and agrees with it row by row."""
+        from multiindex_helpers import all_indices
+        from oracles import random_real_params
+
+        def _boom(*args):
+            raise AssertionError("phase tables formed for a real stack")
+
+        monkeypatch.setattr(tg.engine, "_phase_tables", _boom)
+        u, B = random_real_params(rng, g)
+        U = u + 0.2 * rng.normal(size=(129, g))
+        idx = all_indices(g, 2)
+        stack = tg.engine.theta_du_stack(idx, U, B, 1e-12)
+        refs = []
+        for v in U:
+            table = theta_du_many(idx, ThetaPoint(v, B), 1e-12)
+            refs.append([table[a] for a in idx])
+        assert within_row_tolerance(stack, np.array(refs), 1e-12)
+
+    @staticmethod
+    def large_ball_rows(rng, im_u):
+        """g = 2 at lambda_min 0.017: 128 rows whose block ball has R = 30
+        (2,821 points), so the block is summed in several passes."""
+        B = np.array([[0.02, 0.005], [0.005, 0.03]])
+        U = rng.uniform(-0.01, 0.01, (128, 2)) + 1j * rng.uniform(0.0, im_u, (128, 2))
+        far = U[np.argmax(np.linalg.norm(U.real, axis=1))]
+        radius = truncation_radius(B, far, (2, 0), 1e-12).radius
+        assert radius == 30 and len(lattice_points(2, radius)) == 2821
+        return U, B
+
+    def test_large_ball_in_passes_matches_brute_force(self, rng, monkeypatch):
+        """Real rows: each pass holds at most TILE_ELEMENTS doubles of terms,
+        and the passes together agree with brute force."""
+        from multiindex_helpers import all_indices
+        from oracles import brute_theta_du_rows
+
+        U, B = self.large_ball_rows(rng, 0.0)
+        idx = all_indices(2, 2)
+        passes = []
+        summands_at = tg.engine._summands_at
+
+        def recording(pts, V, B):
+            passes.append(len(V))
+            assert 2 * len(pts) * len(V) <= tg.engine.TILE_ELEMENTS
+            return summands_at(pts, V, B)
+
+        monkeypatch.setattr(tg.engine, "_summands_at", recording)
+        stack = tg.engine.theta_du_stack(idx, U, B, 1e-12)
+        assert len(passes) > 1 and sum(passes) == len(U)
+        assert within_row_tolerance(stack, brute_theta_du_rows(U, B, idx, 34), 1e-12)
+
+    @pytest.mark.parametrize("im_u", [0.0, 1.0])
+    def test_large_ball_in_passes_stays_inside_the_tile_budget(self, rng, im_u):
+        """The warm call's heap peak, real or complex rows, stays within the
+        bound of test_tables_stay_inside_the_tile_budget."""
+        import tracemalloc
+
+        from multiindex_helpers import all_indices
+
+        U, B = self.large_ball_rows(rng, im_u)
+        idx = all_indices(2, 2)
+        cold = tg.engine.theta_du_stack(idx, U, B, 1e-12)
+        tracemalloc.start()
+        try:
+            warm = tg.engine.theta_du_stack(idx, U, B, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(warm, cold)
+        assert peak <= 2 * 2.7e6
