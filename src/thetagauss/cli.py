@@ -379,15 +379,15 @@ def _run_kummer(args):
         raise InputError("count", "kummer needs at least 36 points")
     rng = np.random.Generator(np.random.Philox(args.seed))
     # candidates u = i x + B y, rows (x1, x2, y1, y2) drawn in stream order,
-    # each batch twice what is still missing and mapped by one stacked
+    # each batch exactly the points still missing and mapped by one stacked
     # evaluation; images near the divisor (coordinate 0, theta^2, below
-    # 0.2^2 in modulus) are rejected and the first `count` others kept
+    # 0.2^2 in modulus) are rejected and the others kept, so a rejection
+    # costs one more batch of the points it left missing
     coords = np.empty((0, 4), dtype=complex)
     while len(coords) < count:
-        draws = rng.uniform(0.0, 1.0, (2 * (count - len(coords)), 4))
+        draws = rng.uniform(0.0, 1.0, (count - len(coords), 4))
         cand = statistical_map_stack(2, 1j * draws[:, :2] + draws[:, 2:] @ B.T, B, 1e-13)
         coords = np.vstack([coords, cand[np.abs(cand[:, 0]) >= 0.04]])
-    coords = coords[:count]
     fit_result = kummer_quartic_fit(B, coords)
     echo = {"g": 2, "B": B, "count": count, "seed": args.seed}
     result = {
