@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .engine import TWO_PI, PointSums, ThetaPoint, _summands_at, theta
+from .engine import TWO_PI, PointSums, ThetaPoint, _real, _summands_at, theta
 from .errors import DivisorHit, NotUnimodular
 from .multiindex import (
     MultiIndex,
@@ -244,7 +244,7 @@ class DiscreteGaussian:
 
     def char_fn(self, v) -> complex:
         """Characteristic function E[e^{i v.X}] = theta(u + iv/2pi, B)/theta."""
-        v = np.asarray(v, dtype=float)
+        v = np.asarray(_real(v, ValueError, "v"), dtype=float)
         shifted = ThetaPoint(self.u + 1j * v / TWO_PI, self.point.B)
         return theta(shifted, self.eps) / self.theta_value
 
@@ -344,7 +344,7 @@ class DiscreteGaussian:
     def unimodular(self, alpha) -> "DiscreteGaussian":
         """Distribution of alpha @ X for alpha in GL(g, Z): parameters map to
         (alpha^-T u, alpha^-T B alpha^-1)."""
-        alpha = np.asarray(alpha)
+        alpha = _real(alpha, NotUnimodular, "alpha")
         if alpha.shape != (self.g, self.g) or not np.all(alpha == np.round(alpha)):
             raise NotUnimodular("alpha must be an integer g x g matrix")
         alpha = np.round(alpha).astype(np.int64)
@@ -391,7 +391,7 @@ class DiscreteGaussian:
 
 
 def _int_vector(v, g: int) -> np.ndarray:
-    v = np.asarray(v)
+    v = _real(v, ValueError, "a lattice vector")
     if v.shape != (g,):
         raise ValueError(f"expected an integer vector of length {g}")
     # integers beyond 2^53 are not exact in float, and would wrap in int64

@@ -170,6 +170,18 @@ def as_siegel(B) -> SiegelMatrix:
     return B if isinstance(B, SiegelMatrix) else SiegelMatrix(B)
 
 
+def _real(x, error, name: str) -> np.ndarray:
+    """x as an array, or its real part when x is complex and every
+    imaginary part is exactly 0.  Raises `error`, the error of the real-only
+    entry point for a non-finite value of `name`, when one is not."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        if x.imag.any():
+            raise error(f"{name} must be real, with every imaginary part 0")
+        x = x.real
+    return x
+
+
 class ThetaPoint:
     """Argument pair (u, B) in C^g x H_g."""
 

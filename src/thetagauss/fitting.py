@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import mean_cov, moment_covariance, moment_table
-from .engine import EPS_FLOOR, TWO_PI, ThetaPoint, theta_du_many
+from .engine import EPS_FLOOR, TWO_PI, ThetaPoint, _real, theta_du_many
 from .errors import DegenerateSample, NoConvergence, NonPositiveDefinite, NotPD
 from .multiindex import indices_up_to, unit
 
@@ -38,7 +38,7 @@ MAX_ITERATIONS = 200
 
 
 def _check_real_spd(M, name: str, tol: float = 1e-10):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = np.atleast_2d(np.asarray(_real(M, NotPD, name), dtype=float))
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotPD(f"{name} must be a square matrix")
     if not np.all(np.isfinite(M)):
@@ -52,7 +52,7 @@ def _check_real_spd(M, name: str, tol: float = 1e-10):
 
 
 def _finite_vector(v, name: str) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    v = np.atleast_1d(np.asarray(_real(v, ValueError, name), dtype=float))
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must have finite entries")
     return v
@@ -273,7 +273,7 @@ def fit_from_sample(data, tol: float = 1e-9) -> FitReport:
     the reference numerics) and delegates to :func:`fit`.  Raises
     DegenerateSample when the sample covariance is singular.
     """
-    data = np.asarray(data, dtype=float)
+    data = np.asarray(_real(data, ValueError, "data"), dtype=float)
     if data.ndim == 1:  # flat list of scalars is a univariate sample
         data = data.reshape(-1, 1)
     if data.ndim != 2:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ThetaPoint, _summands_at, lattice_points, theta, truncation_radius
+from .engine import ThetaPoint, _real, _summands_at, lattice_points, theta, truncation_radius
 from .errors import InvalidParameters, ToleranceUnreachable, TooFewSamples
 from .fitting import CanonicalPoint
 
@@ -118,8 +118,8 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
     first.
 
     A 1-D sample is read as univariate.  Raises ValueError unless the
-    sample is N x g, InvalidParameters when a row is not finite and
-    TooFewSamples when no cell reaches the threshold.
+    sample is N x g, InvalidParameters when a row is not finite or not
+    real, and TooFewSamples when no cell reaches the threshold.
     """
     sample = np.asarray(sample)
     if sample.ndim == 1:  # flat list of scalars is a univariate sample
@@ -128,6 +128,7 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
         raise ValueError(f"sample must be an N x {p.g} array of lattice vectors")
     if sample.size == 0:
         raise TooFewSamples("empty sample")
+    sample = _real(sample, InvalidParameters, "sample rows")
     if not np.isfinite(sample).all():
         raise InvalidParameters("sample rows must be finite")
     n_obs = sample.shape[0]
