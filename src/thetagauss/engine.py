@@ -609,8 +609,9 @@ def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[1] != g:
         raise ValueError(f"U must be a k x {g} array of arguments")
-    plan = _monomial_plan(tuple(exponents(a, g) for a in indices), g)
-    out = np.empty((len(U), len(plan[1])), dtype=complex)
+    idx = tuple(exponents(a, g) for a in indices)
+    plan = _monomial_plan(idx, g)
+    out = np.empty((len(U), len(idx)), dtype=complex)
     order = np.argsort(np.einsum("ri,ri->r", U.real, U.real), kind="stable")
     for start in range(0, len(U), STACK_BLOCK):
         block = order[start : start + STACK_BLOCK]
