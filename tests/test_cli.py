@@ -389,7 +389,9 @@ class TestSampleCommand:
 # the cubic's residuals block are rounding-level figures and are compared at
 # 1e-12 absolute, every number under such a key alike.  Rewrite the
 # recorded documents from the current code with
-# `PYTHONPATH=src python tests/test_cli.py`.
+# `PYTHONPATH=src python tests/test_cli.py`, or only the named cases, the
+# others kept byte for byte, with `PYTHONPATH=src python tests/test_cli.py
+# NAME...`.
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "cli.json"
 PARAMS = "<params>"  # replaced by the path of the case's params file
@@ -526,12 +528,18 @@ def test_golden_document(name, golden, tmp_path):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
+    names = sys.argv[1:] or list(GOLDEN_CASES)
+    unknown = [name for name in names if name not in GOLDEN_CASES]
+    if unknown:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)}")
+    recorded = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if sys.argv[1:] else {}
     with tempfile.TemporaryDirectory() as tmp:
-        recorded = {}
-        for case in GOLDEN_CASES:
+        for case in names:
             exit_code, stdout = run_golden(case, tmp)
             recorded[case] = {"exit": exit_code, "stdout": stdout}
+    recorded = {case: recorded[case] for case in GOLDEN_CASES if case in recorded}
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
