@@ -17,7 +17,7 @@ from .engine import (
     theta_du_stack,
     truncation_radius,
 )
-from .distribution import DiscreteGaussian, MomentKey, SplitSpec, moments_to_cumulants
+from .distribution import DiscreteGaussian, SplitSpec, moments_to_cumulants
 from .fitting import CanonicalPoint, FitReport, MomentData, fit, fit_from_sample, forward_moments
 from .geometry import (
     CubicCoefficients,
@@ -36,7 +36,7 @@ from .geometry import (
     statistical_map_stack,
     verify_cubic,
 )
-from .multiindex import MultiIndex, moment_map_indices
+from .multiindex import moment_map_indices
 from .sampler import SamplerConfig, chi_square, draw, support_radius
 from . import errors
 
@@ -46,9 +46,7 @@ __all__ = [
     "SiegelMatrix",
     "ThetaPoint",
     "TruncationBudget",
-    "MultiIndex",
     "DiscreteGaussian",
-    "MomentKey",
     "SplitSpec",
     "MomentData",
     "CanonicalPoint",

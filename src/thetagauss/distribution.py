@@ -31,14 +31,7 @@ import numpy as np
 
 from .engine import TWO_PI, PointSums, ThetaPoint, _real, _summands_at, theta
 from .errors import DivisorHit, NotUnimodular
-from .multiindex import (
-    MultiIndex,
-    exponents,
-    indices_up_to,
-    mi_binomial,
-    sub_indices,
-    unit,
-)
+from .multiindex import exponents, indices_up_to, mi_binomial, sub_indices, unit
 
 SAME_DISTRIBUTION_TOL = 1e-10
 
@@ -53,20 +46,6 @@ class SplitSpec:
     def __post_init__(self):
         if self.g1 < 1 or self.g2 < 1:
             raise ValueError("both blocks of a split must be nonempty")
-
-
-@dataclass(frozen=True)
-class MomentKey:
-    """A multi-index together with the statistic family it indexes."""
-
-    a: MultiIndex
-    kind: str  # one of "moment", "central", "cumulant"
-
-    def __post_init__(self):
-        if self.kind not in ("moment", "central", "cumulant"):
-            raise ValueError(f"unknown statistic kind {self.kind!r}")
-        if not isinstance(self.a, MultiIndex):
-            object.__setattr__(self, "a", MultiIndex(tuple(self.a)))
 
 
 @lru_cache(maxsize=64)
@@ -286,14 +265,6 @@ class DiscreteGaussian:
             kappa = moments_to_cumulants(self._moment_table(order), self.g)
             self._cumulants[order] = kappa
         return kappa[a]
-
-    def statistic(self, key: MomentKey) -> complex:
-        fn = {
-            "moment": self.moment,
-            "central": self.central_moment,
-            "cumulant": self.cumulant,
-        }[key.kind]
-        return fn(key.a)
 
     def mean_cov(self):
         """Mean vector and covariance matrix (complex in general; real SPD

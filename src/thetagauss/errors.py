@@ -4,7 +4,9 @@ Every error derives from ThetaGaussError through one of two bases, which
 the CLI maps to its exit codes:
 
 * InvalidParameters (exit 2): the input is invalid (a matrix that is not
-  positive definite, not symmetric, not unimodular).
+  positive definite, not symmetric, not unimodular).  One class,
+  NonPositiveDefinite, covers every matrix that must be positive definite,
+  Re(B) and a covariance target alike.
 * NumericalFailure (exit 3): valid input on which the computation fails
   (a tolerance that cannot be certified, a divisor hit, no convergence).
 """
@@ -25,11 +27,13 @@ class NumericalFailure(ThetaGaussError):
 # -- validation errors -------------------------------------------------------
 
 class NonPositiveDefinite(InvalidParameters):
-    """Re(B) is not positive definite (or is numerically degenerate)."""
+    """A matrix that must be real symmetric positive definite is not: Re(B)
+    (or B of a real law), or a covariance target sigma, that is not
+    positive definite, is numerically degenerate, or is not symmetric,
+    square or finite."""
 
 
-class NotPD(InvalidParameters):
-    """A covariance target is not symmetric positive definite."""
+NotPD = NonPositiveDefinite  # the former name of the same class
 
 
 class NotUnimodular(InvalidParameters):

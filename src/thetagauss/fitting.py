@@ -31,23 +31,23 @@ import numpy as np
 
 from .distribution import mean_cov, moment_covariance, moment_table
 from .engine import EPS_FLOOR, TWO_PI, ThetaPoint, _real, theta_du_many
-from .errors import DegenerateSample, NoConvergence, NonPositiveDefinite, NotPD
+from .errors import DegenerateSample, NoConvergence, NonPositiveDefinite
 from .multiindex import indices_up_to, unit
 
 MAX_ITERATIONS = 200
 
 
 def _check_real_spd(M, name: str, tol: float = 1e-10):
-    M = np.atleast_2d(np.asarray(_real(M, NotPD, name), dtype=float))
+    M = np.atleast_2d(np.asarray(_real(M, NonPositiveDefinite, name), dtype=float))
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotPD(f"{name} must be a square matrix")
+        raise NonPositiveDefinite(f"{name} must be a square matrix")
     if not np.all(np.isfinite(M)):
-        raise NotPD(f"{name} must have finite entries")
+        raise NonPositiveDefinite(f"{name} must have finite entries")
     if np.max(np.abs(M - M.T)) > tol * max(1.0, np.max(np.abs(M))):
-        raise NotPD(f"{name} must be symmetric")
+        raise NonPositiveDefinite(f"{name} must be symmetric")
     M = 0.5 * (M + M.T)
     if np.linalg.eigvalsh(M)[0] <= 0:
-        raise NotPD(f"{name} must be positive definite")
+        raise NonPositiveDefinite(f"{name} must be positive definite")
     return M
 
 
@@ -188,8 +188,8 @@ def fit(
     docstring); the objective reported is F, which that shift leaves
     unchanged.
 
-    Raises NoConvergence after max_iterations, NotPD for an invalid target
-    (normally caught at MomentData construction).
+    Raises NoConvergence after max_iterations, NonPositiveDefinite for an
+    invalid target (normally caught at MomentData construction).
     """
     if not isinstance(target, MomentData):
         target = MomentData(*target)

@@ -2,9 +2,9 @@
 
 A multi-index a = (a_1, ..., a_g) of nonnegative integers labels the mixed
 partial of order a_i in the i-th variable; |a| = sum a_i is its order.
-Public entry points accept either a :class:`MultiIndex` or any sequence of
-ints and normalize through :func:`exponents`, which returns a tuple of
-nonnegative Python ints unchanged without building a MultiIndex.
+Public entry points take a multi-index as any sequence of nonnegative ints
+(or one int for g = 1) and normalize it through :func:`exponents`, which
+returns a tuple of Python ints and passes such a tuple through unchanged.
 
 The index lists (:func:`indices_of_order`, :func:`indices_up_to`,
 :func:`moment_map_indices`) depend only on (g, order): each grade is built
@@ -16,61 +16,31 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
-from typing import Iterator, Sequence
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponent vector a in N^g with |a| = sum(a)."""
-
-    a: tuple[int, ...]
-
-    def __post_init__(self):
-        try:
-            a = tuple(int(x) for x in self.a)
-        except OverflowError as err:  # an infinite entry
-            raise ValueError("multi-index components must be integers") from err
-        if any(x != y for x, y in zip(a, self.a)):
-            raise ValueError("multi-index components must be integers")
-        if any(x < 0 for x in a):
-            raise ValueError("multi-index components must be nonnegative")
-        object.__setattr__(self, "a", a)
-
-    @property
-    def order(self) -> int:
-        return sum(self.a)
-
-    @property
-    def factorial(self) -> int:
-        """a! = a_1! ... a_g!"""
-        out = 1
-        for x in self.a:
-            out *= factorial(x)
-        return out
-
-    def __len__(self) -> int:
-        return len(self.a)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.a)
-
-    def __getitem__(self, i: int) -> int:
-        return self.a[i]
+from math import comb
+from typing import Sequence
 
 
 def exponents(a, g: int | None = None) -> tuple[int, ...]:
-    """Normalize `a` to a validated exponent tuple, checking the dimension."""
+    """Normalize `a`, a sequence of nonnegative integers or one such
+    integer, to a tuple of Python ints, checking its length against g.
+
+    Raises ValueError for an entry that is negative or not an integer
+    (fractional, infinite, nan or a string), TypeError for an entry that is
+    not a number.
+    """
     if type(a) is tuple and all(type(x) is int and x >= 0 for x in a):
-        t = a  # already normal: what MultiIndex(a).a would rebuild
-    elif isinstance(a, MultiIndex):
-        t = a.a
-    elif isinstance(a, Iterable):
-        t = MultiIndex(tuple(a)).a
+        t = a  # already normal
     else:
-        t = MultiIndex((a,)).a
+        items = tuple(a) if isinstance(a, Iterable) else (a,)
+        try:
+            t = tuple(int(x) for x in items)
+        except OverflowError as err:  # an infinite entry
+            raise ValueError("multi-index components must be integers") from err
+        if any(x != y for x, y in zip(t, items)):
+            raise ValueError("multi-index components must be integers")
+        if any(x < 0 for x in t):
+            raise ValueError("multi-index components must be nonnegative")
     if g is not None and len(t) != g:
         raise ValueError(f"multi-index has length {len(t)}, expected {g}")
     return t

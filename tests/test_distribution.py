@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import thetagauss as tg
-from thetagauss import DiscreteGaussian, MomentKey, MultiIndex, SplitSpec
+from thetagauss import DiscreteGaussian, SplitSpec
 from thetagauss import distribution
 from thetagauss.distribution import canonical_parameters, moment_covariance, moment_table
 from thetagauss.engine import TWO_PI, lattice_points, truncation_radius
@@ -160,13 +160,6 @@ class TestMoments:
             for a in all_indices(g, 3):
                 if sum(a) % 2 == 1:
                     assert abs(d.cumulant(a)) < 1e-11
-
-    def test_statistic_dispatch(self):
-        d = std1()
-        key = MomentKey(MultiIndex((2,)), "moment")
-        assert d.statistic(key) == d.moment([2])
-        with pytest.raises(ValueError):
-            MomentKey(MultiIndex((2,)), "weird")
 
 
 class TestMeanCov:
