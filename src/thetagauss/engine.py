@@ -80,9 +80,9 @@ overflow) raises ToleranceUnreachable.
 
 The monomial table depends on the ball and the index set alone, not on
 (u, B), so _tiled_sums keeps it in _TILES, keyed by (g, monomial steps):
-one pair (the points as floats, N x g; the monomials, rows x N, copies,
-never views of a lattice_points array) over the largest ball seen for the
-key, whose slices are the tiles of any smaller ball and any row count.
+one table of monomials (rows x N, a copy, never a view of a lattice_points
+array) over the largest ball seen for the key, whose slices are the tiles
+of any smaller ball and any row count.
 The tables of all keys take at most TILE_CACHE_BYTES, the oldest key
 dropped first, and a larger table is built tile by tile and not kept.
 Tile boundaries, monomial values (exact integers) and the one matrix
@@ -125,8 +125,8 @@ STACK_BLOCK = 128
 # memory stays bounded (about 1 MB per array) however large the ball.
 TILE_ELEMENTS = 1 << 17
 
-# Bytes of float points and monomial tables _tiled_sums keeps between calls,
-# over all (g, monomial steps) keys; the oldest key is dropped first.
+# Bytes of monomial tables _tiled_sums keeps between calls, over all
+# (g, monomial steps) keys; the oldest key is dropped first.
 TILE_CACHE_BYTES = 16 << 20
 
 # Lattice points one ball may hold (see _max_radius); a certificate or an
@@ -442,8 +442,8 @@ def _summands(pts, x, re_V, tables, K: int, B_planes) -> np.ndarray:
     return terms
 
 
-# (g, monomial steps) -> ((float points, monomial table),) of the largest
-# ball kept for that key; entries are replaced whole.
+# (g, monomial steps) -> the monomial table (rows x N) of the largest ball
+# kept for that key; entries are replaced whole.
 _TILES: dict = {}
 _TILES_LOCK = threading.Lock()
 
@@ -460,21 +460,20 @@ def _tiled_sums(pts: np.ndarray, terms: np.ndarray, steps: tuple) -> np.ndarray:
     """
     n, g = pts.shape
     key = (g, steps)
-    ((xs, monos),) = _TILES.get(key, (((), ()),))
-    if len(xs) < n and n * (len(steps) + 1 + g) * 8 <= TILE_CACHE_BYTES:
-        xs = pts.astype(float)
-        monos = _monomials(xs.T, steps)
+    monos = _TILES.get(key, np.empty((0, 0)))
+    if monos.shape[1] < n and n * (len(steps) + 1) * 8 <= TILE_CACHE_BYTES:
+        monos = _monomials(pts.T.astype(float), steps)
         with _TILES_LOCK:
             _TILES.pop(key, None)
-            _TILES[key] = ((xs, monos),)
-            while sum(x.nbytes + m.nbytes for ((x, m),) in _TILES.values()) > TILE_CACHE_BYTES:
+            _TILES[key] = monos
+            while sum(m.nbytes for m in _TILES.values()) > TILE_CACHE_BYTES:
                 del _TILES[next(iter(_TILES))]
     k = terms.shape[1]
     step = max(1, TILE_ELEMENTS // (len(steps) + 1 + 2 * k))
     sums = np.zeros((len(steps) + 1, 2 * k))
     for lo in range(0, n, step):
         tile = slice(lo, min(lo + step, n))
-        mono = monos[:, tile] if len(xs) >= n else _monomials(pts[tile].astype(float).T, steps)
+        mono = monos[:, tile] if monos.shape[1] >= n else _monomials(pts[tile].T.astype(float), steps)
         sums += mono @ terms[tile].astype(complex, copy=False).view(float)
     return sums.view(complex)
 
