@@ -218,7 +218,7 @@ class DiscreteGaussian:
         """Mass at the lattice point n; real and in (0,1) for real (u, B).
         Raises ValueError unless n is an integer vector of length g, and
         ToleranceUnreachable beyond the engine's point budget."""
-        n = _int_vector(n, self.g)
+        n = _int_array(n, (self.g,))
         return complex(_summands_at(n[None, :], self.u, self.B)[0] / self.theta_value)
 
     def char_fn(self, v) -> complex:
@@ -296,7 +296,7 @@ class DiscreteGaussian:
         """
         if s.g1 + s.g2 != self.g:
             raise ValueError(f"split {s} does not match g={self.g}")
-        n1 = _int_vector(n1, s.g1)
+        n1 = _int_array(n1, (s.g1,))
         g1 = s.g1
         B = self.B
         B11, B12, B22 = B[:g1, :g1], B[:g1, g1:], B[g1:, g1:]
@@ -307,22 +307,21 @@ class DiscreteGaussian:
     def translate(self, m, n) -> "DiscreteGaussian":
         """Distribution of X + n, realized as the parameter shift
         (u + i*m + B*n, B); the i*m shift alone changes nothing."""
-        m = _int_vector(m, self.g)
-        n = _int_vector(n, self.g)
+        m = _int_array(m, (self.g,))
+        n = _int_array(n, (self.g,))
         new_u = self.u + 1j * m + self.B @ n
         return DiscreteGaussian(new_u, self.point.B, self.eps)
 
     def unimodular(self, alpha) -> "DiscreteGaussian":
         """Distribution of alpha @ X for alpha in GL(g, Z): parameters map to
         (alpha^-T u, alpha^-T B alpha^-1)."""
-        alpha = _real(alpha, NotUnimodular, "alpha")
-        if alpha.shape != (self.g, self.g) or not np.all(alpha == np.round(alpha)):
-            raise NotUnimodular("alpha must be an integer g x g matrix")
-        alpha = np.round(alpha).astype(np.int64)
+        shape = (self.g, self.g)
+        alpha = _int_array(alpha, shape, NotUnimodular, "alpha")
         det = int(round(float(np.linalg.det(alpha.astype(float)))))
         if det not in (-1, 1):
             raise NotUnimodular(f"det(alpha) = {det}; must be +-1")
-        inv = np.round(np.linalg.inv(alpha.astype(float))).astype(np.int64)
+        inv = np.round(np.linalg.inv(alpha.astype(float)))
+        inv = _int_array(inv, shape, NotUnimodular, "alpha^-1")
         if not np.array_equal(alpha @ inv, np.eye(self.g, dtype=np.int64)):
             raise NotUnimodular("alpha is not invertible over the integers")
         new_u = inv.T @ self.u
@@ -361,11 +360,14 @@ class DiscreteGaussian:
         return bool(re_ok and im_ok)
 
 
-def _int_vector(v, g: int) -> np.ndarray:
-    v = _real(v, ValueError, "a lattice vector")
-    if v.shape != (g,):
-        raise ValueError(f"expected an integer vector of length {g}")
+def _int_array(v, shape: tuple, error=ValueError, name: str = "a lattice vector") -> np.ndarray:
+    """v as an int64 array.  Raises `error` unless v has `shape` and its
+    entries are finite integers of magnitude at most 2^53, checked before
+    any cast."""
+    v = _real(v, error, name)
+    if v.shape != shape:
+        raise error(f"{name} must be an integer array of shape {shape}")
     # integers beyond 2^53 are not exact in float, and would wrap in int64
     if not np.all((v == np.round(v)) & (-(2**53) <= v) & (v <= 2**53)):
-        raise ValueError("expected integer entries of magnitude at most 2^53")
+        raise error(f"{name} must hold integers of magnitude at most 2^53")
     return np.round(v).astype(np.int64)

@@ -329,6 +329,24 @@ class TestUnimodular:
         with pytest.raises(NotUnimodular):
             d.unimodular(np.array([[2, 0], [0, 1]]))
 
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            [[2**63, 1], [1, 0]],
+            [[1e300, 1], [1, 0]],
+            [[np.inf, 0], [0, 1]],
+            [[1, 2**40, 0], [0, 1, 2**40], [0, 0, 1]],  # det 1, an inverse entry 2^80
+        ],
+        ids=["2**63", "1e300", "inf", "inverse_2**80"],
+    )
+    def test_rejects_entries_beyond_the_int64_range(self, alpha):
+        """Entries beyond 2^53, of alpha or of its inverse, are refused
+        before any cast to int64 (which would warn and wrap)."""
+        g = len(alpha)
+        d = DiscreteGaussian(np.zeros(g), np.eye(g))
+        with pytest.raises(NotUnimodular, match="2\\^53"):
+            d.unimodular(alpha)
+
 
 class TestCanonicalize:
     def test_real_parameters_unchanged(self, rng):
