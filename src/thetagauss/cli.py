@@ -16,9 +16,10 @@ and data): a complex number is an [re, im] pair and a matrix is row-major,
 and JSON true/false or any other non-number, a value that is not finite or
 beyond the float range, and a wrong shape are input errors on the field.
 dumps encodes what the library returns as it is: complex scalars and arrays
-as [re, im] pairs, numpy arrays as nested lists, and every float at 17
-significant digits, so the document is byte-deterministic and round-trips
-doubles exactly.  A result holding inf or nan is a numerical failure, never
+as [re, im] pairs, numpy arrays as nested lists, and every float in the
+shortest form that reads back as the same double (Python's float repr, so
+-0.0 and 1.0 stay floats), so the document is byte-deterministic and
+round-trips doubles exactly.  A result holding inf or nan is a numerical failure, never
 bare JSON.  The radius of sample is the support radius about round(B^-1 u)
 (sampler.support_radius); that of pmf, moments and entropy is the largest
 ball the distribution summed (DiscreteGaussian.sums.radius).
@@ -67,46 +68,28 @@ class InputError(InvalidParameters):
 # -- deterministic JSON output ------------------------------------------------
 
 
-def _dump(obj, out: list):
+def _plain(obj):
+    """What the standard encoder cannot encode, as what it can: numpy
+    values as Python scalars and nested lists, complex numbers as
+    [re, im] pairs."""
     if isinstance(obj, (np.ndarray, np.generic)):
-        obj = obj.tolist()  # Python scalars, arrays as nested lists
+        return obj.tolist()
     if isinstance(obj, complex):
-        obj = [obj.real, obj.imag]
-    if obj is None or isinstance(obj, (bool, int, str)):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise NumericalFailure(f"the result holds {obj}, which JSON cannot encode")
-        out.append(format(obj, ".17g"))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _dump(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _dump(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)}")
+        return [obj.real, obj.imag]
+    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def dumps(obj) -> str:
-    """JSON text with floats at 17 significant digits, insertion-ordered;
-    complex numbers are [re, im] pairs and numpy arrays nested lists.
+    """JSON text, insertion-ordered, with every float in the shortest form
+    that reads back as the same double; complex numbers are [re, im] pairs
+    and numpy arrays nested lists.
 
     Raises NumericalFailure on a float that is not finite.
     """
-    out: list[str] = []
-    _dump(obj, out)
-    return "".join(out)
+    try:
+        return json.dumps(obj, default=_plain, allow_nan=False)
+    except ValueError as err:
+        raise NumericalFailure(f"the result holds a value JSON cannot encode ({err})") from err
 
 
 # -- input parsing -------------------------------------------------------------

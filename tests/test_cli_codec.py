@@ -38,11 +38,18 @@ class TestDumps:
         assert cli.dumps({"B": M, "u": M[0]}) == cli.dumps(
             {"B": [[0.1, 2.0], [1 / 3, -4.5]], "u": [0.1, 2.0]}
         )
-        assert cli.dumps(M[1, 0]) == "0.33333333333333331"
+        assert cli.dumps(M[1, 0]) == "0.3333333333333333"
 
     def test_tuples_and_numpy_bools(self):
         assert cli.dumps([(2, 0), (1, 1)]) == "[[2, 0], [1, 1]]"
         assert cli.dumps({"ok": np.bool_(True)}) == '{"ok": true}'
+
+    def test_floats_read_back_as_the_same_doubles(self):
+        values = [-0.0, 1.0, 1 / 3, 1e300, np.float32(0.1)]
+        got = json.loads(cli.dumps(values))
+        assert all(type(x) is float for x in got)
+        want = np.array(values, dtype=float)
+        assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
 
     def test_non_finite_complex_is_numerical_failure(self):
         with pytest.raises(thetagauss.errors.NumericalFailure):
