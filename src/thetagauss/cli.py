@@ -19,10 +19,11 @@ dumps encodes what the library returns as it is: complex scalars and arrays
 as [re, im] pairs, numpy arrays as nested lists, and every float in the
 shortest form that reads back as the same double (Python's float repr, so
 -0.0 and 1.0 stay floats), so the document is byte-deterministic and
-round-trips doubles exactly.  A result holding inf or nan is a numerical failure, never
-bare JSON.  The radius of sample is the support radius about round(B^-1 u)
-(sampler.support_radius); that of pmf, moments and entropy is the largest
-ball the distribution summed (DiscreteGaussian.sums.radius).
+round-trips doubles exactly.  A result holding inf or nan is a numerical
+failure, never bare JSON.  The radius of sample is the support radius
+about round(B^-1 u) (sampler.support_radius); that of pmf, moments and
+entropy is the largest ball the distribution summed
+(DiscreteGaussian.sums.radius).
 
 The commands are one table, COMMANDS = {name: (run, allowed params keys)}.
 run(args) takes the namespace of parse_config and returns (result,
