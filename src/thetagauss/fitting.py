@@ -25,7 +25,7 @@ stays of order one and the absolute eps of its sums bounds the moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,16 +81,25 @@ class MomentData:
 @dataclass(frozen=True)
 class CanonicalPoint:
     """Real canonical parameters: u in R^g, B real symmetric positive
-    definite (the real slice of the Siegel right half-space)."""
+    definite (the real slice of the Siegel right half-space).
+
+    u and B are read-only copies of the caller's arrays, so the point
+    cannot change after construction.  That lets the sampler hold the
+    support it forms for the law on the point itself (`_support`, see
+    sampler._support_weights): one support per point, freed with it, and
+    outside equality and repr."""
 
     u: np.ndarray
     B: np.ndarray
+    _support: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u = _finite_vector(self.u, "u")
+        u = np.array(_finite_vector(self.u, "u"))
         B = _check_real_spd(self.B, "B")
         if u.shape != (B.shape[0],):
             raise ValueError("u and B dimensions disagree")
+        u.setflags(write=False)
+        B.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "B", B)
 
@@ -270,8 +279,13 @@ def fit_from_sample(data, tol: float = 1e-9) -> FitReport:
     """Maximum-likelihood parameters for a sample of lattice vectors.
 
     Computes the sample mean and sample covariance (divisor n - 1, matching
-    the reference numerics) and delegates to :func:`fit`.  Raises
-    DegenerateSample when the sample covariance is singular.
+    the reference numerics) and delegates to :func:`fit`.  The moments are
+    formed over a coordinate-major copy of the N x g sample: each mean is
+    one sum over a contiguous row, which is exact for integer coordinates
+    while every partial sum stays below 2^53, so it is the exact mean
+    rounded once.  Raises DegenerateSample when the sample covariance is
+    singular, and ValueError when the data, or its moments, are not finite
+    in double precision.
     """
     data = np.asarray(_real(data, ValueError, "data"), dtype=float)
     if data.ndim == 1:  # flat list of scalars is a univariate sample
@@ -283,10 +297,14 @@ def fit_from_sample(data, tol: float = 1e-9) -> FitReport:
     n, g = data.shape
     if n <= 1:
         raise DegenerateSample(f"need at least 2 observations, got {n}")
-    mu = data.mean(axis=0)
-    centered = data - mu
-    sigma = centered.T @ centered / (n - 1)
-    sigma = 0.5 * (sigma + sigma.T)
+    cols = np.ascontiguousarray(data.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = cols.mean(axis=1)
+        centered = cols - mu[:, None]
+        sigma = centered @ centered.T / (n - 1)
+        sigma = 0.5 * (sigma + sigma.T)
+    if not np.isfinite(sigma).all():  # an overflowing mean makes it nan too
+        raise ValueError("data: the sample moments overflow double precision")
     if np.linalg.eigvalsh(sigma)[0] <= 1e-12 * max(1.0, float(np.trace(sigma))):
         raise DegenerateSample("sample covariance is singular")
     return fit(MomentData(mu, sigma), tol)

@@ -12,6 +12,12 @@ counter-based Philox generator.  The sampled law equals the pmf restricted
 to the enumerated support, renormalized; its total variation distance from
 the true pmf is below tail_eps by construction.  Identical (parameters,
 count, config) always produce the identical sample.
+
+The support (its points, weights, theta and radius) is held on the law's
+CanonicalPoint, so draw and chi_square on one point form it once.  Samples
+keep their public N x g shape, but chi_square counts them coordinate-major:
+it builds each row's cell index one coordinate (one column of the sample) at
+a time, with no row-wise mask or gather.
 """
 
 from __future__ import annotations
@@ -68,14 +74,24 @@ def _support_weights(p: CanonicalPoint, tail_eps: float):
     theta(u, B) = theta(u - Bm, B) exp(2 pi (m.u - 1/2 m^T B m)); the
     weights and that factor are the engine's summands (_summands_at) at
     (u, B) and the absolute points, so they overflow, and
-    ToleranceUnreachable is raised, for a mean far enough from the origin."""
+    ToleranceUnreachable is raised, for a mean far enough from the origin.
+
+    The result is read-only and is held on p for the last tail_eps asked
+    (p cannot change, see CanonicalPoint), so draw followed by chi_square
+    on one point forms the support once."""
+    if p._support is not None and p._support[0] == tail_eps:
+        return p._support[1]
     m, t, radius = _certified_ball(p, tail_eps)
     pts = lattice_points(p.g, radius) + m
     weights = _summands_at(pts, p.u, p.B).real
     t *= weights[0]  # pts[0] = m: the ball's points start at its centre
     if not (np.isfinite(weights).all() and np.isfinite(t)):
         raise ToleranceUnreachable("sampler weights overflow double precision")
-    return pts, weights, t, radius
+    pts.setflags(write=False)
+    weights.setflags(write=False)
+    support = (pts, weights, t, radius)
+    object.__setattr__(p, "_support", (tail_eps, support))
+    return support
 
 
 def draw(p: CanonicalPoint, count: int, cfg: SamplerConfig) -> np.ndarray:
@@ -98,7 +114,7 @@ def _draw(p: CanonicalPoint, count: int, cfg: SamplerConfig) -> tuple[np.ndarray
     uniforms = rng.random(count) * total
     idx = np.searchsorted(cdf, uniforms, side="right")
     idx = np.minimum(idx, len(pts) - 1)
-    return pts[idx].astype(np.int64), radius
+    return np.take(pts, idx, axis=0), radius
 
 
 def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
@@ -110,12 +126,15 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
     expectation is below 5.  Returns (statistic, dof) with dof = cells - 1.
 
     Rows are counted through a cell index: a table over the bounding box of
-    the kept cells maps each box cell to its position among the kept cells
-    (shell order) or to -1, and every row outside that box or on a -1 entry
-    falls in the pooled cell.  The table never exceeds the kept cells'
-    bounding box, which lies inside the box m + [-R, R]^g of the support ball,
-    whatever the range of the sample.  Float rows are truncated to integers
-    first.
+    the kept cells, widened by one cell on every side, maps each box cell to
+    its position among the kept cells (shell order) or to -1.  Each
+    coordinate of a row is clipped into the box, so a row outside the kept
+    cells' bounding box lands on the margin and, like a row on any other -1
+    entry, falls in the pooled cell.  The table never exceeds that widened
+    box, which lies inside the box m + [-R - 1, R + 1]^g about the support
+    ball, whatever the range of the sample.  Float rows are truncated toward
+    zero; they are clipped before the cast, so a finite row beyond the int64
+    range is pooled like any other far row.
 
     A 1-D sample is read as univariate.  Raises ValueError unless the
     sample is N x g, InvalidParameters when a row is not finite or not
@@ -145,14 +164,18 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
 
     kept_pts = pts[keep]
     kept_exp = expected[keep]
-    lo, hi = kept_pts.min(axis=0), kept_pts.max(axis=0)
+    # the box has a margin of one pooled cell on every side; each coordinate
+    # is clipped into it before any shift or cast, so no far-away row can
+    # leave the int64 range, and the cast truncates a float toward zero
+    lo, hi = kept_pts.min(axis=0) - 1, kept_pts.max(axis=0) + 1
     shape = tuple(hi - lo + 1)
     table = np.full(np.prod(shape), -1, dtype=np.intp)
     table[np.ravel_multi_index(tuple((kept_pts - lo).T), shape)] = np.arange(len(kept_pts))
-    sample = sample.astype(np.int64, copy=False)
-    # compare before subtracting, so no far-away row can overflow
-    inside = np.all((sample >= lo) & (sample <= hi), axis=1)
-    cells = table[np.ravel_multi_index(tuple((sample[inside] - lo).T), shape)]
+    flat = np.zeros(n_obs, dtype=np.intp)
+    for c, a, b, size in zip(sample.T, lo, hi, shape):  # one coordinate at a time
+        flat *= size
+        flat += np.clip(c, a, b).astype(np.intp, copy=False) - a
+    cells = table[flat]
     kept_obs = np.bincount(cells[cells >= 0], minlength=len(kept_pts)).astype(float)
 
     pooled_exp = n_obs - float(kept_exp.sum())
