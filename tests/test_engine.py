@@ -514,21 +514,22 @@ class TestOneSummationPath:
 
     def test_large_ball_in_passes_matches_brute_force(self, rng, monkeypatch):
         """Real rows: each pass holds at most TILE_ELEMENTS doubles of terms,
-        and the passes together agree with brute force."""
+        its even and odd parts over the half ball as complex, and the passes
+        together agree with brute force."""
         from multiindex_helpers import all_indices
         from oracles import brute_theta_du_rows
 
         U, B = self.large_ball_rows(rng, 0.0)
         idx = all_indices(2, 2)
         passes = []
-        summands_at = tg.engine._summands_at
+        pair_summands_at = tg.engine._pair_summands_at
 
-        def recording(pts, V, B):
+        def recording(half, V, B):
             passes.append(len(V))
-            assert 2 * len(pts) * len(V) <= tg.engine.TILE_ELEMENTS
-            return summands_at(pts, V, B)
+            assert 2 * 2 * len(half) * len(V) <= tg.engine.TILE_ELEMENTS
+            return pair_summands_at(half, V, B)
 
-        monkeypatch.setattr(tg.engine, "_summands_at", recording)
+        monkeypatch.setattr(tg.engine, "_pair_summands_at", recording)
         stack = tg.engine.theta_du_stack(idx, U, B, 1e-12)
         assert len(passes) > 1 and sum(passes) == len(U)
         assert within_row_tolerance(stack, brute_theta_du_rows(U, B, idx, 34), 1e-12)

@@ -101,7 +101,8 @@ def test_increasing_radii_hold_one_ball(balls):
 
 def test_stack_heights_share_one_monomial_table(rng, monkeypatch):
     """theta_du_stack with 16 rows and then 5 of them over one ball (so
-    tiles of two heights) builds the monomial table once."""
+    tiles of two heights) builds the monomial table once, over the ball's
+    half ball."""
     monkeypatch.setattr(engine, "_TILES", {})
     u, B = stats_point(rng, 3)
     idx = indices_up_to(3, 2)
@@ -118,7 +119,7 @@ def test_stack_heights_share_one_monomial_table(rng, monkeypatch):
     radius = truncation_radius(B, U[far[-1]], idx[-1]).radius
     whole = theta_du_stack(idx, U, B)
     part = theta_du_stack(idx, U[far], B)
-    assert built == [len(lattice_points(3, radius))]
+    assert built == [(len(lattice_points(3, radius)) + 1) // 2]  # the half ball
     assert np.allclose(part, whole[far], rtol=1e-12, atol=0)
 
 
