@@ -158,10 +158,11 @@ class DiscreteGaussian:
     divisor are invalid parameters.
 
     theta and every derivative table come from one engine.PointSums, `sums`,
-    so each lattice point is summed once however many orders are asked
-    for; `sums.radius` is the largest certified radius summed so far.  Its
-    memo holds 16 bytes (one complex summand) per point of that ball, for
-    g >= 2 no more than the held int64 lattice array it indexes.
+    so each pair of lattice points +-n is summed once however many orders
+    are asked for; `sums.radius` is the largest certified radius summed so
+    far.  Its memo holds the even and odd parts of each pair of that ball,
+    8 bytes per point for real parameters and 16 otherwise, for g >= 2 no
+    more than the held int64 lattice array it indexes.
     """
 
     __slots__ = ("point", "theta_value", "eps", "sums", "_moments", "_moments_order", "_cumulants")
@@ -209,7 +210,7 @@ class DiscreteGaussian:
             derivs = self.sums.table(indices_up_to(self.g, order))
             self._moments = moment_table(derivs, self.theta_value)
             self._moments_order = order
-            self._cumulants = {}  # cumulant tables came from the old moments
+            self._cumulants = {}  # the held cumulants came from the old moments
         return {a: v for a, v in self._moments.items() if sum(a) <= order}
 
     # -- pointwise ------------------------------------------------------
@@ -255,15 +256,17 @@ class DiscreteGaussian:
     def cumulant(self, a) -> complex:
         """Cumulant kappa_a = (2*pi)^-|a| D^a_u log theta, via the exact
         moment-cumulant recursion on certified moments."""
+        try:  # held: asked before, or of an order a recursion has covered
+            return self._cumulants[a]
+        except (KeyError, TypeError):  # not held, or not hashable
+            pass
         a = exponents(a, self.g)
         if sum(a) < 1:
             raise ValueError("cumulants are defined for |a| >= 1")
-        # one recursion per order serves every cumulant of that order
-        order = sum(a)
-        kappa = self._cumulants.get(order)
-        if kappa is None:
-            kappa = moments_to_cumulants(self._moment_table(order), self.g)
-            self._cumulants[order] = kappa
+        # one recursion serves every cumulant up to its order; kappa_a takes
+        # the same terms in the same order in any table that holds a
+        kappa = moments_to_cumulants(self._moment_table(sum(a)), self.g)
+        self._cumulants.update(kappa)
         return kappa[a]
 
     def mean_cov(self):

@@ -28,20 +28,36 @@ ball may hold more than POINT_BUDGET points: a certificate that needs a
 larger one raises ToleranceUnreachable before anything is enumerated, and
 the held balls of all genera together hold at most that many.
 
-Every evaluation forms its summands in one place and contracts them in
-one place.  _summands_at forms e(n.u - 1/2 n^T B n) at explicit lattice
-points, for one argument u or for the k rows of a k x g array, and
-_tiled_sums contracts an N x k array of such terms with the monomial
-table n^a.  The two evaluators differ only in how they pick the points
-and the rows.
+The quadratic form is even in n, so the terms at n and -n share their
+Gaussian factor and their quadratic phase and differ only through
+e(+-n.u).  Negation reverses the lexicographic order of a shell, so the
+second half of every shell is its first half negated and reversed.  The
+half ball, the origin followed by the first half of each shell, is
+derived once per enumeration and held beside the ball (_HALVES, half as
+many points again as the ball); like the ball it is closed under
+prefixes, and the prefix of (N + 1) // 2 points pairs the N points of a
+ball prefix (_half_ball).
 
-PointSums evaluates one point.  It keeps the point's summands over the
-largest certified ball asked for so far: a table of any order forms
-summands only for the points past the held prefix and contracts, as one
-column, the prefix it needs, so theta, the order-2 and the order-4 tables
-of one discrete Gaussian sum each lattice point once.  theta, theta_du and
-theta_du_many are one-shot PointSums; the pmf and the sampler's weights
-call _summands_at directly.
+Every evaluation forms its summands in one place and contracts them in
+one place.  The ball evaluators sum each pair +-n once:
+_pair_summands_at forms the even and odd parts t(n) + t(-n) and
+t(n) - t(-n) of t = e(n.u - 1/2 n^T B n) at the points of a half ball,
+for the k rows of a k x g array of arguments, and _tiled_sums contracts
+the N x k parts with the monomial table n^a over the half ball: since
+(-n)^a = (-1)^|a| n^a, the even-order rows take the even part and the
+odd-order rows the odd part.  The origin pairs with itself; its parts
+are set to 1 and 0 where a half ball starts, so it is counted once.  The
+two evaluators differ only in how they pick the points and the rows.
+The pmf and the sampler's weights form single terms at explicit points
+with _summands_at; both forms take their phase tables and chunks from
+_chunks.
+
+PointSums evaluates one point.  It keeps the point's pair parts over the
+half ball of the largest certified ball asked for so far: a table of any
+order forms parts only for the pairs past the held prefix and contracts,
+as one column, the prefix it needs, so theta, the order-2 and the order-4
+tables of one discrete Gaussian sum each lattice pair once.  theta,
+theta_du and theta_du_many are one-shot PointSums.
 
 theta_du_stack evaluates k arguments u (the rows of a k x g array) at one
 B, and returns D^a theta for every row and multi-index.  Rows are sorted
@@ -55,43 +71,54 @@ through exp(2*pi*rho)) and the search start (the peak of the shell-term
 profile, and rho/lmin).  A radius R found at the largest rho of a block
 therefore lies at or past the search start of every smaller rho, where
 the bound at R is no larger and so still below eps.  A block is summed in
-passes of rows: each pass forms its N x k terms over the whole ball with
-_summands_at and contracts them, and its phase tables and its terms each
-hold at most TILE_ELEMENTS doubles, so a larger ball takes more passes of
-fewer rows.  A repeated-B caller, such as statistical_map_stack (through
-which the kummer job maps its candidates), thus pays one certificate per
-block, not one per argument; the zero finder of geometry certifies its
-scan of a line the same way, at the largest rho of its window.
+passes of rows: each pass forms the pair parts of its rows over the
+ball's half ball with _pair_summands_at and contracts them, and its phase
+tables and its two parts each hold at most TILE_ELEMENTS doubles, so a
+larger ball takes more passes of fewer rows.  A repeated-B caller, such
+as statistical_map_stack (through which the kummer job maps its
+candidates), thus pays one certificate per block, not one per argument;
+the zero finder of geometry certifies its scan of a line the same way, at
+the largest rho of its window.
 
-Each summand is a magnitude times a unit-modulus phase.  The magnitude
-exp(2*pi*(n.Re u - 1/2 n^T Re B n)) is one exp per point and row.  The
-phase e(i*Im E) splits into a per-point factor exp(-i*pi n^T Im B n),
-shared by all rows, and one factor exp(2*pi*i n_i Im u_i) per coordinate,
-gathered at n_i from a table over j in [-K, K] (K the largest |n_i| of
-the points) built once per row, so no sine or cosine is taken per point
-and row.  At real u and B every phase is 1, and _summands_at returns the
-real magnitudes alone, with no tables and no complex exp.  The terms, cast
-to complex and viewed as interleaved (re, im) pairs, are contracted with
-the table of monomials n^a in one real matrix product per tile of lattice
-points; each monomial row is its parent's row (a minus the last nonzero
-unit vector) times one coordinate, exact while the entries are integers
-below 2^53.  A value that is not finite in double precision (the summands
-overflow) raises ToleranceUnreachable.
+Each summand is a magnitude times a unit-modulus phase.  The phase
+e(i*Im E) splits into a per-point factor c = exp(-i*pi n^T Im B n),
+shared by all rows and even in n, and one factor exp(2*pi*i n_i Im u_i)
+per coordinate, gathered at n_i from a table over j in [-K, K] (K the
+largest |n_i| of the points) built once per row, so no sine or cosine is
+taken per point and row.  The rows of -j are the exact conjugates of
+those of j, so the product P of the gathered factors at -n is conj(P).
+A pair therefore takes its quadratic form, c and P once, and two real
+exps for the magnitudes M+- = exp(-pi n^T Re B n +- 2*pi n.Re u); its
+parts are c((M+ + M-) Re P + i(M+ - M-) Im P) and
+c((M+ - M-) Re P + i(M+ + M-) Im P).  At real u and B every phase is 1,
+and the parts are the real M+ + M- and M+ - M-, with no tables and no
+complex exp.  The parts, cast to complex and viewed as interleaved
+(re, im) pairs, are contracted with the monomial rows of their parity in
+one real matrix product per parity and tile of half-ball points; each
+monomial row is its parent's row (a minus the last nonzero unit vector)
+times one coordinate, exact while the entries are integers below 2^53.
+A value that is not finite in double precision (the summands overflow)
+raises ToleranceUnreachable.
 
 The monomial table depends on the ball and the index set alone, not on
 (u, B), so _tiled_sums keeps it in _TILES, keyed by (g, monomial steps):
 one table of monomials (rows x N, a copy, never a view of a lattice_points
-array) over the largest ball seen for the key, whose slices are the tiles
-of any smaller ball and any row count.
+array) over the largest half ball seen for the key, built by one
+_monomials call and permuted so its even-order rows come first, whose
+slices are the tiles of any smaller half ball and any row count.  The
+multi-indices of a table are normalised once per tuple of indices, with
+the rest of its plan (_monomial_plan).
 The tables of all keys take at most TILE_CACHE_BYTES, the oldest key
 dropped first, and a larger table is built tile by tile and not kept.
-Tile boundaries, monomial values (exact integers) and the one matrix
-product per tile are those of a fresh build, so results are bit-identical
+Tile boundaries, monomial values (exact integers) and the matrix products
+per tile are those of a fresh build, so results are bit-identical
 whatever the cache holds.
 
 All functions are pure; held lattice balls are immutable, and a held
-ball, a PointSums memo and a _TILES entry are replaced whole, so a race
-between threads only recomputes.
+ball, its half ball, a PointSums memo and a _TILES entry are replaced
+whole, so a race between threads only recomputes: a held half ball too
+short for a ball prefix read before another thread replaced the ball is
+derived afresh from that prefix.
 """
 
 from __future__ import annotations
@@ -100,6 +127,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -312,6 +340,10 @@ def truncation_radius(B, u, a=None, eps: float = 1e-12) -> TruncationBudget:
 # largest of another genus first, while all hold more than POINT_BUDGET points.
 _BALLS: dict = {}
 
+# g -> the half ball (_first_halves) of the ball _BALLS holds for g,
+# derived once per enumeration, replaced and dropped with it.
+_HALVES: dict = {}
+
 
 def _ball(g: int, r2: int) -> tuple:
     """The held ball of Z^g, enumerated anew as ||n||^2 <= r2 if smaller.
@@ -342,13 +374,43 @@ def _ball(g: int, r2: int) -> tuple:
             c = np.searchsorted(ends, f, side="right")
             pts[lo : lo + len(f), 0] = c - K
             pts[lo : lo + len(f), 1:] = sub[f - ends[c] + counts[c]]
+        del order  # freed before the half ball is derived
     pts.setflags(write=False)
+    _HALVES[g] = _first_halves(pts)
     held = _BALLS[g] = (r2, pts, n2)
     # snapshots and a default pop, so threads may race
     others = sorted((len(b[2]), h) for h, b in list(_BALLS.items()) if h != g)
     while others and sum(len(b[2]) for b in list(_BALLS.values())) > POINT_BUDGET:
-        _BALLS.pop(others.pop()[1], None)
+        h = others.pop()[1]
+        _BALLS.pop(h, None)
+        _HALVES.pop(h, None)
     return held
+
+
+def _first_halves(pts: np.ndarray) -> np.ndarray:
+    """The half ball of a ball prefix `pts` in the order of lattice_points:
+    the origin, then the first half of each shell.  A shell is in
+    lexicographic order, which negation reverses, so its second half is its
+    first half negated and reversed, and its first half is the points whose
+    first nonzero coordinate is negative.  Read-only, and a prefix of the
+    half ball of any larger ball."""
+    first = pts[:, -1] <= 0  # the origin, or a first nonzero coordinate < 0
+    for c in pts.T[-2::-1]:
+        np.copyto(first, c < 0, where=c != 0)
+    half = pts[first]
+    half.setflags(write=False)
+    return half
+
+
+def _half_ball(pts: np.ndarray) -> np.ndarray:
+    """The half ball of the ball prefix `pts` that lattice_points returned:
+    (len(pts) + 1) // 2 points, a prefix of the held half ball, or derived
+    from pts when the held ball has changed since (another thread)."""
+    n = (len(pts) + 1) // 2
+    half = _HALVES.get(pts.shape[1])
+    if half is None or len(half) < n:
+        return _first_halves(pts)
+    return half[:n]
 
 
 def lattice_points(g: int, radius: float) -> np.ndarray:
@@ -365,35 +427,64 @@ def lattice_points(g: int, radius: float) -> np.ndarray:
     return pts[: n2.searchsorted(r2, side="right")]
 
 
-@lru_cache(maxsize=64)
-def _monomial_plan(idx: tuple, g: int) -> tuple[tuple, np.ndarray, np.ndarray, tuple]:
-    """Rows of the monomial table n^a for the multi-indices idx, and the
-    rest of theta_du_stack's bookkeeping that depends on idx alone.
+class _Plan(NamedTuple):
+    """The bookkeeping of a table that depends on its multi-indices alone."""
 
-    Row 0 is n^0 = 1; every other row is a pair (parent row, coordinate i),
-    its parent being a - e_i for the last nonzero coordinate i of a.
-    Ancestors that idx lacks get rows too, parents before children.
-    Returns the pairs, the row of each multi-index of idx, the column of
-    factors (2*pi)^|a| and the index of highest order (the first such),
-    which the truncation radius is certified for.
+    idx: tuple  # the multi-indices, normalised by exponents
+    steps: tuple  # (parent row, coordinate) of each monomial row past row 0
+    perm: np.ndarray  # the monomial rows, those of even order first
+    even: int  # how many rows have even order
+    select: np.ndarray  # the row of each multi-index in the permuted table
+    scale: np.ndarray  # the column of factors (2*pi)^|a|
+    worst: tuple  # the first index of highest order
+
+
+@lru_cache(maxsize=64)
+def _monomial_plan(indices: tuple, g: int) -> _Plan:
+    """The plan of a table of the multi-indices `indices`, each normalised
+    once here, so a repeated tuple of indices is not normalised again.
+
+    Row 0 of the monomial table n^a is n^0 = 1; every other row is a pair
+    (parent row, coordinate i), its parent being a - e_i for the last
+    nonzero coordinate i of a.  Ancestors that the indices lack get rows
+    too, parents before children.  The table _tiled_sums holds has its rows
+    permuted so the even orders come first, for each parity is contracted
+    with its own part of the pair summands.  The truncation radius is
+    certified for the worst index.
     """
+    idx = tuple(exponents(a, g) for a in indices)
     rows = {(0,) * g: 0}
     steps = []
+    orders = [0]
 
     def row(a):
         if a not in rows:
             i = max(j for j, aj in enumerate(a) if aj)
             parent = row(a[:i] + (a[i] - 1,) + a[i + 1 :])
             steps.append((parent, i))
+            orders.append(orders[parent] + 1)
             rows[a] = len(steps)
         return rows[a]
 
-    select = np.array([row(a) for a in idx], dtype=np.intp)
+    picked = np.array([row(a) for a in idx], dtype=np.intp)
+    odd = np.array(orders) % 2
+    perm = np.argsort(odd, kind="stable")
+    select = np.argsort(perm)[picked]
     scale = np.array([TWO_PI ** sum(a) for a in idx])[:, None]
-    select.setflags(write=False)
-    scale.setflags(write=False)
+    for a in (perm, select, scale):
+        a.setflags(write=False)
     worst = max(idx, key=sum) if idx else (0,) * g
-    return tuple(steps), select, scale, worst
+    return _Plan(idx, tuple(steps), perm, len(odd) - int(odd.sum()), select, scale, worst)
+
+
+def _plan(indices, g: int) -> _Plan:
+    """_monomial_plan of `indices`, any iterable of multi-indices; one that
+    holds an unhashable index, such as a list, is normalised first."""
+    indices = tuple(indices)
+    try:
+        return _monomial_plan(indices, g)
+    except TypeError:
+        return _monomial_plan(tuple(exponents(a, g) for a in indices), g)
 
 
 def _monomials(cols: np.ndarray, steps: tuple) -> np.ndarray:
@@ -442,59 +533,101 @@ def _summands(pts, x, re_V, tables, K: int, B_planes) -> np.ndarray:
     return terms
 
 
-# (g, monomial steps) -> the monomial table (rows x N) of the largest ball
-# kept for that key; entries are replaced whole.
+def _pair_summands(pts, x, re_V, tables, K: int, B_planes) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd parts t(n) + t(-n) and t(n) - t(-n) of the summands
+    t = e(n.v - 1/2 n^T B n), arguments as for _summands: two N x k arrays,
+    real when tables is None.
+
+    The quadratic form, its phase exp(-i pi n^T Im B n) = c and the product
+    P of the phase tables are formed once per pair; the magnitudes are two
+    real exps, M+- = exp(-pi n^T Re B n +- 2 pi n.Re v).  The term at -n
+    has the phase c conj(P), the rows of -j being the conjugates of those
+    of j, so with P = a + ib the parts are c((M+ + M-)a + i(M+ - M-)b) and
+    c((M+ - M-)a + i(M+ + M-)b).
+    """
+    quad = np.einsum("cpi,pi->cp", x @ B_planes, x)
+    lin = x @ re_V
+    lin *= TWO_PI
+    gauss = (-np.pi * quad[0])[:, None]
+    plus = gauss + lin
+    np.exp(plus, out=plus)
+    minus = np.exp(np.subtract(gauss, lin, out=lin), out=lin)
+    even = plus + minus
+    odd = np.subtract(plus, minus, out=minus)
+    if tables is None:
+        return even, odd
+    phase = tables[0, pts[:, 0] + K]
+    for i in range(1, pts.shape[1]):
+        phase *= tables[i, pts[:, i] + K]
+    c = np.exp(-1j * np.pi * quad[1])[:, None]
+    parts = []
+    for re, im in ((even, odd), (odd, even)):
+        part = np.empty(phase.shape, dtype=complex)
+        np.multiply(re, phase.real, out=part.real)
+        np.multiply(im, phase.imag, out=part.imag)
+        part *= c
+        parts.append(part)
+    return parts[0], parts[1]
+
+
+# (g, monomial steps) -> the monomial table (rows x N) of the largest half
+# ball kept for that key, its rows in the order of the plan's perm; entries
+# are replaced whole.
 _TILES: dict = {}
 _TILES_LOCK = threading.Lock()
 
 
-def _tiled_sums(pts: np.ndarray, terms: np.ndarray, steps: tuple) -> np.ndarray:
-    """sum_n n^a t_n over the lattice points `pts` for each row a of the
-    monomial table `steps` (rows of the result) and each column of the
-    N x k terms t (columns of the result, complex).
+def _tiled_sums(half: np.ndarray, even: np.ndarray, odd: np.ndarray, plan: _Plan) -> np.ndarray:
+    """sum_n n^a t_n over the ball whose half ball is `half`, for each row a
+    of the plan's monomial table (rows of the result, in the order of
+    plan.perm) and each column of the terms t (columns of the result,
+    complex), given as the N x k even and odd parts at the half ball
+    (_pair_summands_at).  An even row takes the even part and an odd row
+    the odd part, for n^a at -n is (-1)^|a| n^a.
 
     The points are taken in tiles, slices of the table _TILES holds, whose
-    monomials plus terms hold at most TILE_ELEMENTS doubles; each tile's
-    terms, cast to complex when real, are contracted in one real matrix
-    product as interleaved (re, im) pairs.
+    monomials plus parts hold at most TILE_ELEMENTS doubles; each tile's
+    parts, cast to complex when real, are contracted in one real matrix
+    product per parity as interleaved (re, im) pairs.
     """
-    n, g = pts.shape
-    key = (g, steps)
+    n, g = half.shape
+    rows, E = len(plan.steps) + 1, plan.even
+    key = (g, plan.steps)
     monos = _TILES.get(key, np.empty((0, 0)))
-    if monos.shape[1] < n and n * (len(steps) + 1) * 8 <= TILE_CACHE_BYTES:
-        monos = _monomials(pts.T.astype(float), steps)
+    if monos.shape[1] < n and n * rows * 8 <= TILE_CACHE_BYTES:
+        monos = _monomials(half.T.astype(float), plan.steps)[plan.perm]
         with _TILES_LOCK:
             _TILES.pop(key, None)
             _TILES[key] = monos
             while sum(m.nbytes for m in _TILES.values()) > TILE_CACHE_BYTES:
                 del _TILES[next(iter(_TILES))]
-    k = terms.shape[1]
-    step = max(1, TILE_ELEMENTS // (len(steps) + 1 + 2 * k))
-    sums = np.zeros((len(steps) + 1, 2 * k))
+    k = even.shape[1]
+    step = max(1, TILE_ELEMENTS // (rows + 4 * k))
+    sums = np.zeros((rows, 2 * k))
     for lo in range(0, n, step):
         tile = slice(lo, min(lo + step, n))
-        mono = monos[:, tile] if monos.shape[1] >= n else _monomials(pts[tile].T.astype(float), steps)
-        sums += mono @ terms[tile].astype(complex, copy=False).view(float)
+        if monos.shape[1] >= n:
+            mono = monos[:, tile]
+        else:
+            mono = _monomials(half[tile].T.astype(float), plan.steps)[plan.perm]
+        sums[:E] += mono[:E] @ even[tile].astype(complex, copy=False).view(float)
+        if E < rows:
+            sums[E:] += mono[E:] @ odd[tile].astype(complex, copy=False).view(float)
     return sums.view(complex)
 
 
-def _summands_at(pts: np.ndarray, U: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """e(n.u - 1/2 n^T B n) at the integer points `pts` (N x g), for each
-    argument u at the matrix B: the kernel _summands with phase tables up
-    to K, the largest |n_i|, in chunks whose float points and B products
-    hold at most TILE_ELEMENTS doubles.  U is one argument (a g-vector),
-    for which N summands are returned, or the k x g array of k arguments,
-    for which an N x k array is.  The summands are not finite where they
-    overflow.  They are complex, or real when U and B are real, for then
-    every phase is 1 and the kernel forms no phase tables and no complex
-    exp.  This is the one place summands are formed: PointSums,
-    theta_du_stack, the pmf and the sampler's weights all call it.
+def _chunks(kernel, pts: np.ndarray, V: np.ndarray, B: np.ndarray) -> list:
+    """kernel (_summands or _pair_summands) at the integer points `pts`
+    (N x g), for each row v of the k x g array V at the matrix B, with
+    phase tables up to K, the largest |n_i|, in chunks whose float points
+    and B products hold at most TILE_ELEMENTS doubles: one result per
+    chunk.  The kernel forms no phase tables and no complex exp when V and
+    B are real, for then every phase is 1.
 
     Raises ToleranceUnreachable when the phase tables of one argument,
     g(2K + 1) entries, would exceed POINT_BUDGET, whether or not they are
     formed.
     """
-    V = np.atleast_2d(U)
     g = V.shape[1]
     K = int(np.abs(pts).max(initial=0))
     if g * (2 * K + 1) > POINT_BUDGET:
@@ -505,11 +638,41 @@ def _summands_at(pts: np.ndarray, U: np.ndarray, B: np.ndarray) -> np.ndarray:
     else:
         B_planes, tables = np.array([B.real]), None
     step = max(1, TILE_ELEMENTS // (3 * g))
-    chunks = [pts[lo : lo + step] for lo in range(0, len(pts), step)]
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = [_summands(c, c.astype(float), re_V, tables, K, B_planes) for c in chunks]
-    terms = np.concatenate(terms)
+        return [
+            kernel(c, c.astype(float), re_V, tables, K, B_planes)
+            for c in (pts[lo : lo + step] for lo in range(0, len(pts), step))
+        ]
+
+
+def _summands_at(pts: np.ndarray, U: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """e(n.u - 1/2 n^T B n) at the integer points `pts` (N x g), for each
+    argument u at the matrix B (see _chunks).  U is one argument (a
+    g-vector), for which N summands are returned, or the k x g array of k
+    arguments, for which an N x k array is.  The summands are not finite
+    where they overflow.  They are complex, or real when U and B are real.
+    The pmf and the sampler's weights form their summands here, one per
+    point; the ball evaluators form pair parts (_pair_summands_at).
+    """
+    terms = np.concatenate(_chunks(_summands, pts, np.atleast_2d(U), B))
     return terms if np.ndim(U) == 2 else terms[:, 0]
+
+
+def _pair_summands_at(half: np.ndarray, U: np.ndarray, B: np.ndarray) -> tuple:
+    """The even and odd parts t(n) + t(-n) and t(n) - t(-n) of the summands
+    at the points `half` of a half ball (N x g), for each row u of the
+    k x g array U at the matrix B (see _chunks): two N x k arrays, complex,
+    or real when U and B are real, not finite where they overflow.
+
+    The origin pairs with itself: when half starts there, that is when it
+    holds the start of its half ball, its parts are set to 1 and 0, so its
+    term is counted once.  No other point is the origin.
+    """
+    chunks = _chunks(_pair_summands, half, U, B)
+    even, odd = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
+    if not half[0].any():
+        even[0], odd[0] = 1.0, 0.0
+    return even, odd
 
 
 def _require_finite(values: np.ndarray):
@@ -520,35 +683,36 @@ def _require_finite(values: np.ndarray):
         )
 
 
-def _derivatives(pts: np.ndarray, terms: np.ndarray, plan: tuple) -> np.ndarray:
-    """D^a theta = (2*pi)^|a| sum_n n^a t_n for each multi-index of a
-    _monomial_plan (rows) and each column of the N x k terms t (columns).
+def _derivatives(half: np.ndarray, even: np.ndarray, odd: np.ndarray, plan: _Plan) -> np.ndarray:
+    """D^a theta = (2*pi)^|a| sum_n n^a t_n for each multi-index of the plan
+    (rows) and each column of the terms t (columns), given by their even
+    and odd parts at the half ball `half` (see _tiled_sums).
 
     Raises ToleranceUnreachable when a value is not finite.
     """
-    steps, select, scale, _ = plan
     with np.errstate(over="ignore", invalid="ignore"):
-        values = scale * _tiled_sums(pts, terms, steps)[select]
+        values = plan.scale * _tiled_sums(half, even, odd, plan)[plan.select]
     _require_finite(values)
     return values
 
 
 class PointSums:
     """Certified tables D^a_u theta at one point (u, B), all from one memo
-    of the point's summands.
+    of the point's pair summands.
 
-    The memo holds the summands _summands_at forms at the point, over the
-    largest certified ball asked for so far, in the shell order of
-    lattice_points, and that ball's radius.  A table certifies its radius
-    for the highest order of its indices, forms summands only for the
-    points past the held prefix (a smaller ball is a prefix of a larger
-    one) and hands the ball's prefix of the memo to _tiled_sums as one
-    column.  A table is therefore bit-identical to a one-shot one and
-    independent of the order in which tables were asked for: a summand
-    does not depend on the ball it was formed for, since the phase-table
-    entry at j is the same for every table radius K >= |j|.  The memo,
-    (radius, summands), is replaced as one object, so a race between
-    threads only recomputes.
+    The memo holds the even and odd parts _pair_summands_at forms at the
+    point, over the half ball of the largest certified ball asked for so
+    far, in the shell order of lattice_points, and that ball's radius.  A
+    table certifies its radius for the highest order of its indices, forms
+    parts only for the pairs past the held prefix (a smaller half ball is
+    a prefix of a larger one) and hands the half ball's prefix of the memo
+    to _tiled_sums as one column.  A table is therefore bit-identical to a
+    one-shot one and independent of the order in which tables were asked
+    for: a part does not depend on the ball it was formed for, since the
+    phase-table entry at j is the same for every table radius K >= |j|, and
+    only the part at the origin, the first of every half ball, is set
+    apart.  The memo, (radius, even, odd), is replaced as one object, so a
+    race between threads only recomputes.
     """
 
     __slots__ = ("point", "eps", "_held")
@@ -556,7 +720,8 @@ class PointSums:
     def __init__(self, point: ThetaPoint, eps: float = 1e-12):
         self.point = point
         self.eps = eps
-        self._held = (None, np.empty(0, dtype=complex))
+        empty = np.empty((0, 1))
+        self._held = (None, empty, empty)
 
     @property
     def radius(self):
@@ -571,16 +736,19 @@ class PointSums:
         precision (the summands overflow) or a certificate cannot be issued.
         """
         p = self.point
-        idx = tuple(exponents(a, p.g) for a in indices)
-        plan = _monomial_plan(idx, p.g)
-        radius = truncation_radius(p.B, p.u, plan[3], self.eps).radius
-        pts = lattice_points(p.g, radius)
-        terms = self._held[1]
-        if len(pts) > len(terms):
-            terms = np.concatenate([terms, _summands_at(pts[len(terms) :], p.u, p.B.entries)])
-            self._held = (radius, terms)
-        values = _derivatives(pts, terms[: len(pts), None], plan)[:, 0]
-        return {a: complex(v) for a, v in zip(idx, values)}
+        plan = _plan(indices, p.g)
+        radius = truncation_radius(p.B, p.u, plan.worst, self.eps).radius
+        half = _half_ball(lattice_points(p.g, radius))
+        _, even, odd = self._held
+        if len(half) > len(even):
+            more = _pair_summands_at(half[len(even) :], p.u[None, :], p.B.entries)
+            if len(even):
+                more = [np.concatenate(pair) for pair in zip((even, odd), more)]
+            even, odd = more
+            self._held = (radius, even, odd)
+        n = len(half)
+        values = _derivatives(half, even[:n], odd[:n], plan)[:, 0]
+        return {a: complex(v) for a, v in zip(plan.idx, values)}
 
 
 def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
@@ -594,11 +762,12 @@ def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
     STACK_BLOCK rows, each block over one lattice ball certified at its
     largest ||Re u|| for the highest order in `indices` (see the module
     docstring for why that radius certifies every row of the block).  A
-    block is summed in passes of rows: a pass forms the N x k summands of
-    its rows over the ball with _summands_at (real ones, with no phase
-    tables, when its rows and B are real) and contracts them with
-    _tiled_sums.  Its phase tables and its terms each hold at most
-    TILE_ELEMENTS doubles, so a large ball takes several passes.
+    block is summed in passes of rows: a pass forms the even and odd parts
+    of its rows over the ball's half ball with _pair_summands_at (real
+    ones, with no phase tables, when its rows and B are real) and
+    contracts them with _tiled_sums.  Its phase tables and its two parts
+    together each hold at most TILE_ELEMENTS doubles, so a large ball
+    takes several passes.
 
     Raises ToleranceUnreachable when a value is not finite in double
     precision (the summands overflow) or a certificate cannot be issued.
@@ -608,21 +777,21 @@ def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[1] != g:
         raise ValueError(f"U must be a k x {g} array of arguments")
-    idx = tuple(exponents(a, g) for a in indices)
-    plan = _monomial_plan(idx, g)
-    out = np.empty((len(U), len(idx)), dtype=complex)
+    plan = _plan(indices, g)
+    out = np.empty((len(U), len(plan.idx)), dtype=complex)
     order = np.argsort(np.einsum("ri,ri->r", U.real, U.real), kind="stable")
     for start in range(0, len(U), STACK_BLOCK):
         block = order[start : start + STACK_BLOCK]
-        radius = truncation_radius(B, U[block[-1]], plan[3], eps).radius
-        pts = lattice_points(g, radius)
+        radius = truncation_radius(B, U[block[-1]], plan.worst, eps).radius
+        half = _half_ball(lattice_points(g, radius))
         # rows per pass over the ball: their phase tables, g x (2K+1)
-        # complex entries per row, and their terms, N complex entries per
-        # row, each hold at most TILE_ELEMENTS doubles
-        per_pass = max(1, TILE_ELEMENTS // (2 * max(g * (2 * int(radius) + 1), len(pts))))
+        # complex entries per row, and their two parts, 2N complex entries
+        # per row, each hold at most TILE_ELEMENTS doubles
+        per_pass = max(1, TILE_ELEMENTS // (2 * max(g * (2 * int(radius) + 1), 2 * len(half))))
         for lo in range(0, len(block), per_pass):
             rows = block[lo : lo + per_pass]
-            out[rows] = _derivatives(pts, _summands_at(pts, U[rows], B.entries), plan).T
+            parts = _pair_summands_at(half, U[rows], B.entries)
+            out[rows] = _derivatives(half, *parts, plan).T
     return out
 
 
