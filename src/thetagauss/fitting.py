@@ -36,6 +36,11 @@ from .multiindex import indices_up_to, unit
 
 MAX_ITERATIONS = 200
 
+# Rounding slack of the Armijo test, relative to max(1, |F|): F is a sum of
+# a few terms of order |F|, so it is formed to within a few ulps of |F|
+# (Boyd & Vandenberghe, Convex Optimization, section 9.5).
+ARMIJO_SLACK = 16 * np.finfo(float).eps
+
 
 def _check_real_spd(M, name: str, tol: float = 1e-10):
     M = np.atleast_2d(np.asarray(_real(M, NonPositiveDefinite, name), dtype=float))
@@ -189,7 +194,8 @@ def fit(
     target mean and covariance, to sup-norm residual below tol.
 
     Damped Newton on the convex objective F; a trial step is rejected when
-    it leaves the positive definite cone or fails the Armijo test.
+    it leaves the positive definite cone or fails the Armijo test, which
+    allows ARMIJO_SLACK * max(1, |F|) for the rounding of F.
     Convergence requires both the moment residual below tol and the squared
     Newton decrement below tol^2; theta and its derivatives are summed to
     eps = max(EPS_FLOOR, 1e-4 * tol).  The iteration runs on the target
@@ -246,9 +252,12 @@ def fit(
                 converged=True,
             )
 
-        # backtracking line search with PD safeguarding
+        # backtracking line search with PD safeguarding; the Armijo test
+        # allows the rounding of F, or a last-bit change in the moments
+        # could reject every step near the solution
         step = 1.0
         slope = float(grad @ dx)
+        slack = ARMIJO_SLACK * max(1.0, abs(F))
         for _ in range(60):
             x_try = x + step * dx
             u_try, B_try = _unpack(x_try, g, pairs)
@@ -259,7 +268,7 @@ def fit(
                 continue
             t_try, mus_try = _real_moments(point, 4, eps)
             F_try = _objective(math.log(t_try), u_try, B_try, mu_t, S_t)
-            if F_try <= F + 1e-4 * step * slope:
+            if F_try <= F + 1e-4 * step * slope + slack:
                 break
             step *= 0.5
         else:
@@ -287,7 +296,10 @@ def fit_from_sample(data, tol: float = 1e-9) -> FitReport:
     singular, and ValueError when the data, or its moments, are not finite
     in double precision.
     """
-    data = np.asarray(_real(data, ValueError, "data"), dtype=float)
+    try:
+        data = np.asarray(_real(data, ValueError, "data"), dtype=float)
+    except OverflowError as err:  # a Python int beyond the float range
+        raise ValueError("data must have finite entries") from err
     if data.ndim == 1:  # flat list of scalars is a univariate sample
         data = data.reshape(-1, 1)
     if data.ndim != 2:
