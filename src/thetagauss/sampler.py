@@ -134,13 +134,21 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
     box, which lies inside the box m + [-R - 1, R + 1]^g about the support
     ball, whatever the range of the sample.  Float rows are truncated toward
     zero; they are clipped before the cast, so a finite row beyond the int64
-    range is pooled like any other far row.
+    range is pooled like any other far row, and so is a Python int beyond
+    that range, read as a float.
 
     A 1-D sample is read as univariate.  Raises ValueError unless the
     sample is N x g, InvalidParameters when a row is not finite or not
     real, and TooFewSamples when no cell reaches the threshold.
     """
     sample = np.asarray(sample)
+    if sample.dtype == object:  # such as Python ints beyond the int64 range
+        try:
+            sample = sample.astype(float)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise InvalidParameters("sample rows must be finite real numbers") from err
+    elif sample.dtype.kind not in "biufc":  # strings, dates, ...
+        raise InvalidParameters("sample rows must be finite real numbers")
     if sample.ndim == 1:  # flat list of scalars is a univariate sample
         sample = sample.reshape(-1, 1)
     if sample.ndim != 2 or sample.shape[1] != p.g:

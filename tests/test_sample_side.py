@@ -136,3 +136,24 @@ class TestSampleMomentsOverflow:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflow double precision"):
                 fitting.fit_from_sample(data)
+
+
+class TestIntegersBeyondInt64:
+    """Python ints beyond the int64 range give a pooled row or a typed
+    error, never a numpy TypeError or OverflowError."""
+
+    def test_chi_square_pools_a_far_row_within_the_float_range(self):
+        p = CanonicalPoint([0.0], [[0.1]])
+        near = [[0]] * 50
+        assert chi_square(near + [[10**30]], p) == chi_square(near + [[10**6]], p)
+
+    @pytest.mark.parametrize("row", [[10**400], ["a"], [1 + 1j]])
+    def test_chi_square_refuses_a_row_that_is_no_finite_real(self, row):
+        from thetagauss.errors import InvalidParameters
+
+        with pytest.raises(InvalidParameters):
+            chi_square([[0]] * 50 + [row], CanonicalPoint([0.0], [[0.1]]))
+
+    def test_fit_from_sample_refuses_an_int_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="finite"):
+            fitting.fit_from_sample([[0], [1], [10**400]])
