@@ -252,9 +252,8 @@ def fit(
                 converged=True,
             )
 
-        # backtracking line search with PD safeguarding; the Armijo test
-        # allows the rounding of F, or a last-bit change in the moments
-        # could reject every step near the solution
+        # backtracking line search with PD safeguarding; without the slack a
+        # last-bit change in the moments could fail every step near the solution
         step = 1.0
         slope = float(grad @ dx)
         slack = ARMIJO_SLACK * max(1.0, abs(F))
