@@ -44,7 +44,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import verify as verify_checks
-from .engine import EPS_FLOOR, PointSums, ThetaPoint
+from .engine import EPS_FLOOR, PointSums, ThetaPoint, _real
 from .distribution import DiscreteGaussian
 from .errors import InvalidParameters, NumericalFailure
 from .fitting import CanonicalPoint, MomentData, fit, fit_from_sample
@@ -169,14 +169,6 @@ def _point(params: dict) -> tuple[np.ndarray, np.ndarray]:
     return u, B
 
 
-def _require_real(u, B):
-    if np.max(np.abs(u.imag)) > 1e-12:
-        raise InputError("u", "this command requires real parameters")
-    if np.max(np.abs(B.imag)) > 1e-12:
-        raise InputError("B", "this command requires real parameters")
-    return u.real, B.real
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError("argv", message)
@@ -298,7 +290,9 @@ def _run_fit(args):
 
 
 def _run_sample(args):
-    u, B = _require_real(*_point(args.params))
+    u, B = _point(args.params)
+    # the library's test of a real parameter, its error bound to the field
+    u, B = (_real(x, functools.partial(InputError, f), f) for f, x in (("u", u), ("B", B)))
     if args.count is None or args.count < 1:
         raise InputError("count", "sample requires --count >= 1")
     p = CanonicalPoint(u, B)

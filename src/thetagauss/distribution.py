@@ -132,6 +132,21 @@ def mean_cov(mus: dict, g: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([mus[a] for a in units]), moment_covariance(mus, units)
 
 
+def cross_entropy(log_theta, u, B, mean, second):
+    """E_q[-log p] = log theta - 2*pi <u, mean> + pi <B, second> for the
+    law p with parameters (u, B) and log-normalizer log_theta, and any q
+    with that mean and second moments E_q[X X^T] = `second`; <., .> is the
+    entrywise (Frobenius) pairing.
+
+    The one place the formula is written.  At the law's own moments it is
+    the entropy of p (DiscreteGaussian.entropy); at a target's moments it
+    is the objective that moment matching minimises (fitting.fit), whose
+    minimum is the entropy of the fitted law (Cover & Thomas, Elements of
+    Information Theory, Thm 12.1.1).
+    """
+    return log_theta - TWO_PI * np.dot(u, mean) + math.pi * np.sum(B * second)
+
+
 def canonical_parameters(u, B):
     """Unique representative of (u, B) under the integer-shift action
 
@@ -275,8 +290,8 @@ class DiscreteGaussian:
         return mean_cov(self._moment_table(2), self.g)
 
     def entropy(self) -> complex:
-        """H = log theta - 2*pi <u, mu> + pi <B, Sigma + mu mu^T>, with the
-        entrywise (Frobenius) matrix pairing.
+        """H = log theta - 2*pi <u, mu> + pi <B, Sigma + mu mu^T>: the
+        cross_entropy of the law at its own moments.
 
         For non-real parameters the principal branch of log theta is used
         (branch ambiguity is inherent there; on the real slice theta > 0 and
@@ -284,11 +299,7 @@ class DiscreteGaussian:
         """
         mean, cov = self.mean_cov()
         second = cov + np.outer(mean, mean)
-        return (
-            np.log(self.theta_value)
-            - TWO_PI * np.dot(self.u, mean)
-            + math.pi * np.sum(self.B * second)
-        )
+        return cross_entropy(np.log(self.theta_value), self.u, self.B, mean, second)
 
     # -- marginals and group actions -------------------------------------
 

@@ -7,6 +7,7 @@ covariance Sigma is therefore the strictly convex problem
 
     minimize  F(u, B) = log theta(u, B) - 2*pi u.mu + pi <B, Sigma + mu mu^T>
 
+(the cross-entropy of the target under the law, distribution.cross_entropy),
 whose gradient vanishes exactly on the moment equations, and whose Hessian
 is the covariance of T under the current iterate (assembled from theta
 derivatives up to order four).  A damped Newton iteration with positive
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import mean_cov, moment_covariance, moment_table
+from .distribution import cross_entropy, mean_cov, moment_covariance, moment_table
 from .engine import EPS_FLOOR, TWO_PI, ThetaPoint, _real, theta_du_many
 from .errors import DegenerateSample, NoConvergence, NonPositiveDefinite
 from .multiindex import indices_up_to, unit
@@ -40,6 +41,8 @@ MAX_ITERATIONS = 200
 # a few terms of order |F|, so it is formed to within a few ulps of |F|
 # (Boyd & Vandenberghe, Convex Optimization, section 9.5).
 ARMIJO_SLACK = 16 * np.finfo(float).eps
+
+_objective = cross_entropy  # the former name of the same function
 
 
 def _check_real_spd(M, name: str, tol: float = 1e-10):
@@ -153,10 +156,6 @@ def _unpack(x: np.ndarray, g: int, pairs):
     return u, B
 
 
-def _objective(t_log: float, u, B, mu_t, S_t) -> float:
-    return t_log - TWO_PI * float(u @ mu_t) + math.pi * float(np.sum(B * S_t))
-
-
 def _grad_resid(mus: dict, g: int, pairs, mu_t, S_t):
     """Gradient of F in packed coordinates and the (mu, Sigma) residual."""
     mu, sigma = mean_cov(mus, g)
@@ -201,7 +200,8 @@ def fit(
     eps = max(EPS_FLOOR, 1e-4 * tol).  The iteration runs on the target
     (mu - m, Sigma), m = round(mu), and returns u + Bm (see the module
     docstring); the objective reported is F, which that shift leaves
-    unchanged.
+    unchanged.  F is distribution.cross_entropy at the target's moments;
+    where they match the fitted law's, it is that law's entropy.
 
     Raises NoConvergence after max_iterations, NonPositiveDefinite for an
     invalid target (normally caught at MomentData construction).
@@ -223,7 +223,7 @@ def fit(
     x = _pack(u, B, pairs)
 
     t, mus = _real_moments(ThetaPoint(u, B), 4, eps)
-    F = _objective(math.log(t), u, B, mu_t, S_t)
+    F = cross_entropy(math.log(t), u, B, mu_t, S_t)
 
     for iteration in range(1, max_iterations + 1):
         grad, resid = _grad_resid(mus, g, pairs, mu_t, S_t)
@@ -266,7 +266,7 @@ def fit(
                 step *= 0.5
                 continue
             t_try, mus_try = _real_moments(point, 4, eps)
-            F_try = _objective(math.log(t_try), u_try, B_try, mu_t, S_t)
+            F_try = cross_entropy(math.log(t_try), u_try, B_try, mu_t, S_t)
             if F_try <= F + 1e-4 * step * slope + slack:
                 break
             step *= 0.5

@@ -28,7 +28,7 @@ from math import pi
 
 import numpy as np
 
-from .distribution import canonical_parameters, moment_table, moments_to_cumulants
+from .distribution import DiscreteGaussian, canonical_parameters, moment_table, moments_to_cumulants
 from .engine import (
     TILE_ELEMENTS,
     TWO_PI,
@@ -42,7 +42,6 @@ from .engine import (
     truncation_radius,
 )
 from .errors import (
-    DivisorHit,
     IndeterminatePoint,
     NoZeroFound,
     RankDeficientInput,
@@ -155,12 +154,14 @@ def statistical_map_stack(d: int, U, B, eps: float = 1e-12) -> np.ndarray:
 
 
 def log_derivatives(p: ThetaPoint, max_order: int, eps: float = 1e-12) -> dict:
-    """nu_a = D^a_u log theta = (2*pi)^|a| kappa_a for all |a| <= max_order."""
-    table = theta_du_many(indices_up_to(p.g, max_order), p, eps)
-    t = table[(0,) * p.g]
-    if abs(t) <= 10.0 * eps:
-        raise DivisorHit("log-derivatives undefined on the theta divisor")
-    kappa = moments_to_cumulants(moment_table(table), p.g)
+    """nu_a = D^a_u log theta = (2*pi)^|a| kappa_a for all 1 <= |a| <=
+    max_order, with kappa_a the cumulants of the DiscreteGaussian at p.
+
+    The law's constructor is the one divisor guard: it raises DivisorHit
+    when |theta| <= 10*eps, where the log-derivatives are undefined.
+    """
+    law = DiscreteGaussian(p.u, p.B, eps)
+    kappa = moments_to_cumulants(law._moment_table(max_order), p.g)
     return {a: TWO_PI ** sum(a) * v for a, v in kappa.items()}
 
 
