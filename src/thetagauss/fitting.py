@@ -291,7 +291,9 @@ def fit_from_sample(data, tol: float = 1e-9) -> FitReport:
     formed over a coordinate-major copy of the N x g sample: each mean is
     one sum over a contiguous row, which is exact for integer coordinates
     while every partial sum stays below 2^53, so it is the exact mean
-    rounded once.  Raises DegenerateSample when the sample covariance is
+    rounded once.  Each covariance entry is numpy's pairwise sum of the
+    products of centred rows, so it does not depend on the BLAS thread
+    count, and the matrix is exactly symmetric.  Raises DegenerateSample when the sample covariance is
     singular, and ValueError when the data, or its moments, are not finite
     in double precision.
     """
@@ -312,8 +314,9 @@ def fit_from_sample(data, tol: float = 1e-9) -> FitReport:
     with np.errstate(over="ignore", invalid="ignore"):
         mu = cols.mean(axis=1)
         centered = cols - mu[:, None]
-        sigma = centered @ centered.T / (n - 1)
-        sigma = 0.5 * (sigma + sigma.T)
+        # row i is summed along the sample axis: pairwise, on no BLAS thread,
+        # and the same products in the same order as column i
+        sigma = np.array([(c * centered).sum(axis=1) for c in centered]) / (n - 1)
     if not np.isfinite(sigma).all():  # an overflowing mean makes it nan too
         raise ValueError("data: the sample moments overflow double precision")
     if np.linalg.eigvalsh(sigma)[0] <= 1e-12 * max(1.0, float(np.trace(sigma))):
