@@ -32,7 +32,7 @@ import numpy as np
 
 from .distribution import cross_entropy, mean_cov, moment_covariance, moment_table
 from .engine import EPS_FLOOR, TWO_PI, ThetaPoint, _real, theta_du_many
-from .errors import DegenerateSample, NoConvergence, NonPositiveDefinite
+from .errors import DegenerateSample, NoConvergence, NonPositiveDefinite, ToleranceUnreachable
 from .multiindex import indices_up_to, unit
 
 MAX_ITERATIONS = 200
@@ -203,8 +203,10 @@ def fit(
     unchanged.  F is distribution.cross_entropy at the target's moments;
     where they match the fitted law's, it is that law's entropy.
 
-    Raises NoConvergence after max_iterations, NonPositiveDefinite for an
-    invalid target (normally caught at MomentData construction).
+    Raises NoConvergence after max_iterations, ToleranceUnreachable when the
+    target is wider than the engine can fit (the start point's Re(B0) is
+    at or below engine.LAMBDA_MIN_FLOOR), and NonPositiveDefinite, from
+    MomentData, for an invalid target.
     """
     if not isinstance(target, MomentData):
         target = MomentData(*target)
@@ -222,7 +224,14 @@ def fit(
     u = B @ mu_t
     x = _pack(u, B, pairs)
 
-    t, mus = _real_moments(ThetaPoint(u, B), 4, eps)
+    try:
+        start = ThetaPoint(u, B)
+    except NonPositiveDefinite as err:  # B0 = Sigma^-1/(2*pi) is below the floor
+        widest = np.linalg.eigvalsh(target.sigma)[-1]
+        raise ToleranceUnreachable(
+            f"the target covariance has largest eigenvalue {widest:.3e}, wider than the engine can fit"
+        ) from err
+    t, mus = _real_moments(start, 4, eps)
     F = cross_entropy(math.log(t), u, B, mu_t, S_t)
 
     for iteration in range(1, max_iterations + 1):
