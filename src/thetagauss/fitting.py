@@ -302,9 +302,9 @@ def fit_from_sample(data, tol: float = 1e-9) -> FitReport:
     while every partial sum stays below 2^53, so it is the exact mean
     rounded once.  Each covariance entry is numpy's pairwise sum of the
     products of centred rows, so it does not depend on the BLAS thread
-    count, and the matrix is exactly symmetric.  Raises DegenerateSample when the sample covariance is
-    singular, and ValueError when the data, or its moments, are not finite
-    in double precision.
+    count, and the matrix is exactly symmetric.  Raises DegenerateSample
+    when the sample covariance is singular, and ValueError when the data,
+    or its moments, are not finite in double precision.
     """
     try:
         data = np.asarray(_real(data, ValueError, "data"), dtype=float)

@@ -1,13 +1,11 @@
 """The CLI's sample command reads u and B through the library's one test of
 a real parameter (engine._real): any nonzero imaginary part, however
 small, is an input error on its field, as it is for the library's
-real-only entry points."""
+real-only entry points (tests/test_input_errors.py)."""
 
 import json
 
 import pytest
-
-from thetagauss import CanonicalPoint, errors
 
 from test_cli import run, strict_loads
 
@@ -24,8 +22,3 @@ def test_sample_exits_2_on_a_tiny_imaginary_part(tmp_path, params, field):
     doc = strict_loads(text)
     assert (doc["error"], doc["field"]) == ("InputError", field)
 
-
-@pytest.mark.parametrize("u, B", [([0.2 + 1e-13j], [[1.0]]), ([0.2], [[1.0 + 1e-13j]])], ids=["u", "B"])
-def test_the_library_refuses_the_same_values(u, B):
-    with pytest.raises((ValueError, errors.InvalidParameters), match="imaginary part"):
-        CanonicalPoint(u, B)
