@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -632,9 +634,13 @@ class TestPmfLatticePoints:
         for n in ([0, 0], [2, -1], [-3, 4]):
             assert d.pmf(n) == pytest.approx(weight(np.array(n), u, B) / d.theta_value, rel=1e-12)
 
-    def test_point_beyond_the_radius_cap_is_typed_error(self):
-        with pytest.raises(tg.errors.ToleranceUnreachable):
-            std1().pmf([10**9])
+    def test_point_far_outside_any_ball_underflows_to_zero(self):
+        """A single term needs no ball: its exp underflows to 0, with no
+        warning, for a real and for a complex law."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert std1().pmf([10**9]) == 0
+            assert DiscreteGaussian([0.1 + 0.2j], [[1.0 + 0.5j]]).pmf([10**9]) == 0
 
     @pytest.mark.parametrize("n", [[2.0**63], [1e300], [-(2**63)]])
     def test_points_beyond_int64_are_value_errors(self, n):

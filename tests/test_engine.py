@@ -443,22 +443,28 @@ class TestSummandKernel:
         assert within_row_tolerance(stack[:4], refs, eps)
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
-    def test_real_law_summands_are_the_complex_real_parts(self, rng, g):
-        """Real u and B: _summands_at forms no phase tables and no complex
-        exp, and returns real summands, bit for bit the real parts of the
-        complex kernel's, every phase of which is exactly 1.  At g = 5 the
-        ball at eps 1e-14 spans several chunks of _summands_at."""
+    def test_real_law_summands_are_the_complex_real_parts(self, rng, g, monkeypatch):
+        """Real u and B: _summands_at forms no phase tables and returns real
+        summands, bit for bit one exp of _log_summands over the whole ball,
+        and to rounding the summands of the same u and B typed complex.  At
+        g = 5 the ball at eps 1e-14 spans several chunks of _summands_at."""
         from oracles import random_real_params
+
+        def _boom(*args):
+            raise AssertionError("phase tables formed for a single summand")
 
         u, B = random_real_params(rng, g)
         pts = lattice_points(g, truncation_radius(B, u, None, 1e-14).radius)
+        if g == 5:
+            assert len(pts) > tg.engine.TILE_ELEMENTS // (3 * g)
+        want = np.exp(tg.engine._log_summands(pts, u, B))
+        monkeypatch.setattr(tg.engine, "_phase_tables", _boom)
         got = tg.engine._summands_at(pts, u, B)
-        K = int(np.abs(pts).max())
-        tables = tg.engine._phase_tables(np.zeros((1, g)), K)
-        B_planes = np.array([B, np.zeros_like(B)])
-        want = tg.engine._summands(pts, pts.astype(float), u[:, None], tables, K, B_planes)
         assert got.dtype == np.float64 and len(got) == len(pts)
-        assert got.tobytes() == want[:, 0].real.tobytes()
+        assert got.tobytes() == want.tobytes()
+        typed_complex = tg.engine._summands_at(pts, u + 0j, B + 0j)
+        assert typed_complex.dtype == complex
+        np.testing.assert_allclose(typed_complex, got, rtol=1e-13, atol=0)
 
     def test_tables_stay_inside_the_tile_budget(self, rng):
         """g = 1, B = 1e-6: the ball reaches |n| = 3408.  Building the phase

@@ -5,7 +5,16 @@ import pytest
 
 import thetagauss as tg
 from thetagauss import DiscreteGaussian, engine, geometry
-from thetagauss.engine import TWO_PI, ThetaPoint, as_siegel, theta, theta_du, theta_du_stack
+from thetagauss.engine import (
+    TWO_PI,
+    ThetaPoint,
+    as_siegel,
+    lattice_points,
+    theta,
+    theta_du,
+    theta_du_stack,
+    truncation_radius,
+)
 from thetagauss.errors import (
     IndeterminatePoint,
     NoZeroFound,
@@ -13,6 +22,7 @@ from thetagauss.errors import (
     SingularDivisorPoint,
 )
 from thetagauss.geometry import (
+    DIVISOR_EPS,
     ZERO_GRID,
     ZERO_TOL,
     CubicCoefficients,
@@ -318,10 +328,28 @@ class TestZeroScan:
         monkeypatch.setattr(geometry, "theta_du_stack", _boom)
         monkeypatch.setattr(geometry, "theta_du_many", _boom)
         monkeypatch.setattr(geometry, "theta", _boom)
-        monkeypatch.setattr(engine, "_summands", _boom)
+        monkeypatch.setattr(engine, "_summands_at", _boom)
+        monkeypatch.setattr(engine, "_pair_summands_at", _boom)
         base, direction, B = workload_line(rng)
         u = find_theta_zero((base, direction), B)
         assert abs(brute_theta(u, B, 10)) < ZERO_TOL
+
+    def test_line_terms_are_the_engine_exponent(self, rng):
+        """After a scan and a ball of Newton's size, the memo's exponents
+        are those of engine._log_summands over the whole ball, and
+        engine._summands_at is their exp, bit for bit."""
+        for _ in range(3):
+            base, direction, B = workload_line(rng)
+            line = geometry._Line(base, direction, as_siegel(B))
+            ax = np.linspace(-2.0, 2.0, ZERO_GRID)
+            geometry._scan(line, ax, ax)
+            scanned = len(line.L)
+            R = truncation_radius(B, base + 2.0 * direction, unit(2, 0), DIVISOR_EPS).radius
+            L = line.terms(R)[0]
+            pts = lattice_points(2, R)
+            assert scanned < len(pts) == len(L)
+            assert L.tobytes() == engine._log_summands(pts, base, B).tobytes()
+            assert engine._summands_at(pts, base, B).tobytes() == np.exp(L).tobytes()
 
 
 class TestWideLaws:

@@ -48,13 +48,13 @@ def test_largest_admitted_ball_fits_the_budget(monkeypatch, g):
 
 
 def test_phase_tables_are_held_to_the_budget(monkeypatch):
-    # the point (0, 3) at g = 2 needs tables of 2 (2 * 3 + 1) = 14 entries
-    pts, u = np.array([[0, 3]]), np.zeros(2, dtype=complex)
+    # the half-ball point (0, -3) at g = 2 needs tables of 2 (2 * 3 + 1) = 14 entries
+    half, U = np.array([[0, -3]]), np.zeros((1, 2), dtype=complex)
     monkeypatch.setattr(engine, "POINT_BUDGET", 14)
-    engine._summands_at(pts, u, np.eye(2))
+    engine._pair_summands_at(half, U, np.eye(2))
     monkeypatch.setattr(engine, "POINT_BUDGET", 13)
     with pytest.raises(ToleranceUnreachable):
-        engine._summands_at(pts, u, np.eye(2))
+        engine._pair_summands_at(half, U, np.eye(2))
 
 
 CASES = {
