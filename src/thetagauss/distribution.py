@@ -231,9 +231,9 @@ class DiscreteGaussian:
     # -- pointwise ------------------------------------------------------
 
     def pmf(self, n) -> complex:
-        """Mass at the lattice point n; real and in (0,1) for real (u, B).
-        Raises ValueError unless n is an integer vector of length g, and
-        ToleranceUnreachable beyond the engine's point budget."""
+        """Mass at the lattice point n; real and in [0,1) for real (u, B),
+        0 where its term underflows.  Raises ValueError unless n is an
+        integer vector of length g."""
         n = _int_array(n, (self.g,))
         return complex(_summands_at(n[None, :], self.u, self.B)[0] / self.theta_value)
 

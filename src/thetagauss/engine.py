@@ -38,19 +38,20 @@ many points again as the ball); like the ball it is closed under
 prefixes, and the prefix of (N + 1) // 2 points pairs the N points of a
 ball prefix (_half_ball).
 
-Every evaluation forms its summands in one place and contracts them in
-one place.  The ball evaluators sum each pair +-n once:
-_pair_summands_at forms the even and odd parts t(n) + t(-n) and
-t(n) - t(-n) of t = e(n.u - 1/2 n^T B n) at the points of a half ball,
-for the k rows of a k x g array of arguments, and _tiled_sums contracts
-the N x k parts with the monomial table n^a over the half ball: since
-(-n)^a = (-1)^|a| n^a, the even-order rows take the even part and the
-odd-order rows the odd part.  The origin pairs with itself; its parts
-are set to 1 and 0 where a half ball starts, so it is counted once.  The
-two evaluators differ only in how they pick the points and the rows.
-The pmf and the sampler's weights form single terms at explicit points
-with _summands_at; both forms take their phase tables and chunks from
-_chunks.
+A single term t(n) = e(n.u - 1/2 n^T B n) at an explicit point is the
+exp of one exponent, 2*pi*(n.u - 1/2 n^T B n), written once in
+_log_summands: _summands_at takes its exp for the pmf, the marginal pmf
+and the sampler's weights, and the zero finder of geometry keeps the
+exponents along its line (geometry._Line).  No phase table and no pair
+part is formed for a single term.  The ball evaluators sum each pair +-n
+once: _pair_summands_at forms the even and odd parts t(n) + t(-n) and
+t(n) - t(-n) at the points of a half ball, for the k rows of a k x g
+array of arguments, and _tiled_sums contracts the N x k parts with the
+monomial table n^a over the half ball: since (-n)^a = (-1)^|a| n^a, the
+even-order rows take the even part and the odd-order rows the odd part.
+The origin pairs with itself; its parts are set to 1 and 0 where a half
+ball starts, so it is counted once.  The two evaluators differ only in
+how they pick the points and the rows.
 
 PointSums evaluates one point.  It keeps the point's pair parts over the
 half ball of the largest certified ball asked for so far: a table of any
@@ -80,12 +81,12 @@ candidates), thus pays one certificate per block, not one per argument;
 the zero finder of geometry certifies its scan of a line the same way, at
 the largest rho of its window.
 
-Each summand is a magnitude times a unit-modulus phase.  The phase
-e(i*Im E) splits into a per-point factor c = exp(-i*pi n^T Im B n),
-shared by all rows and even in n, and one factor exp(2*pi*i n_i Im u_i)
-per coordinate, gathered at n_i from a table over j in [-K, K] (K the
-largest |n_i| of the points) built once per row, so no sine or cosine is
-taken per point and row.  The rows of -j are the exact conjugates of
+In a pair part, each summand is a magnitude times a unit-modulus
+phase.  The phase e(i*Im E) splits into a per-point factor
+c = exp(-i*pi n^T Im B n), shared by all rows and even in n, and one
+factor exp(2*pi*i n_i Im u_i) per coordinate, gathered at n_i from a
+table over j in [-K, K] (K the largest |n_i| of the points) built once
+per row, so no sine or cosine is taken per point and row.  The rows of -j are the exact conjugates of
 those of j, so the product P of the gathered factors at -n is conj(P).
 A pair therefore takes its quadratic form, c and P once, and two real
 exps for the magnitudes M+- = exp(-pi n^T Re B n +- 2*pi n.Re u); its
@@ -508,35 +509,14 @@ def _phase_tables(Y: np.ndarray, K: int) -> np.ndarray:
     return tables
 
 
-def _summands(pts, x, re_V, tables, K: int, B_planes) -> np.ndarray:
-    """e(n.v - 1/2 n^T B n) at the lattice points `pts` (int, N x g, every
-    |n_i| <= K; x the same points as floats) for each argument v, a column
-    of re_V = Re V^T with its phase tables (_phase_tables(Im V, K)).
-    Returns an N x k complex array.  B_planes holds Re B and Im B.
-
-    With tables None (real V and B, B_planes holding Re B alone) every
-    phase is 1, and the N x k real magnitudes are returned: bit for bit
-    the real parts of the complex summands.
-    """
-    quad = np.einsum("cpi,pi->cp", x @ B_planes, x)
-    # magnitude exp(2 pi (n.Re v - 1/2 n^T Re B n)), points x arguments
-    mag = x @ re_V
-    mag -= 0.5 * quad[0, :, None]
-    mag *= TWO_PI
-    np.exp(mag, out=mag)
-    if tables is None:
-        return mag
-    # times the phase exp(-i pi n^T Im B n) prod_i exp(2 pi i n_i Im v_i)
-    terms = np.exp(-1j * np.pi * quad[1])[:, None] * mag
-    for i in range(pts.shape[1]):
-        terms *= tables[i, pts[:, i] + K]
-    return terms
-
-
 def _pair_summands(pts, x, re_V, tables, K: int, B_planes) -> tuple[np.ndarray, np.ndarray]:
     """The even and odd parts t(n) + t(-n) and t(n) - t(-n) of the summands
-    t = e(n.v - 1/2 n^T B n), arguments as for _summands: two N x k arrays,
-    real when tables is None.
+    t = e(n.v - 1/2 n^T B n) at the lattice points `pts` (int, N x g, every
+    |n_i| <= K; x the same points as floats) for each argument v, a column
+    of re_V = Re V^T with its phase tables (_phase_tables(Im V, K)): two
+    N x k arrays.  B_planes holds Re B and Im B; with tables None (real V
+    and B, B_planes holding Re B alone) every phase is 1, and the parts are
+    real.
 
     The quadratic form, its phase exp(-i pi n^T Im B n) = c and the product
     P of the phase tables are formed once per pair; the magnitudes are two
@@ -616,59 +596,68 @@ def _tiled_sums(half: np.ndarray, even: np.ndarray, odd: np.ndarray, plan: _Plan
     return sums.view(complex)
 
 
-def _chunks(kernel, pts: np.ndarray, V: np.ndarray, B: np.ndarray) -> list:
-    """kernel (_summands or _pair_summands) at the integer points `pts`
-    (N x g), for each row v of the k x g array V at the matrix B, with
-    phase tables up to K, the largest |n_i|, in chunks whose float points
-    and B products hold at most TILE_ELEMENTS doubles: one result per
-    chunk.  The kernel forms no phase tables and no complex exp when V and
-    B are real, for then every phase is 1.
-
-    Raises ToleranceUnreachable when the phase tables of one argument,
-    g(2K + 1) entries, would exceed POINT_BUDGET, whether or not they are
-    formed.
-    """
-    g = V.shape[1]
-    K = int(np.abs(pts).max(initial=0))
-    if g * (2 * K + 1) > POINT_BUDGET:
-        raise ToleranceUnreachable(f"phase tables to |n_i| = {K} exceed {POINT_BUDGET} entries")
-    re_V = np.ascontiguousarray(V.real.T)
-    if V.imag.any() or B.imag.any():
-        B_planes, tables = np.array([B.real, B.imag]), _phase_tables(V.imag, K)
-    else:
-        B_planes, tables = np.array([B.real]), None
-    step = max(1, TILE_ELEMENTS // (3 * g))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [
-            kernel(c, c.astype(float), re_V, tables, K, B_planes)
-            for c in (pts[lo : lo + step] for lo in range(0, len(pts), step))
-        ]
+def _log_summands(pts: np.ndarray, U: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """2*pi*(n.u - 1/2 n^T B n), the log of the summand e(n.u - 1/2 n^T B n),
+    at the integer points `pts` (N x g) for each argument u at the matrix
+    B.  U is one argument (a g-vector), for which N values are returned, or
+    the k x g array of k arguments, for which an N x k array is.  Real when
+    U and B are real, complex otherwise."""
+    x = pts.astype(float)
+    quad = np.einsum("pi,pi->p", x @ B, x)
+    if U.ndim == 2:
+        quad = quad[:, None]
+    return TWO_PI * (x @ U.T - 0.5 * quad)
 
 
 def _summands_at(pts: np.ndarray, U: np.ndarray, B: np.ndarray) -> np.ndarray:
     """e(n.u - 1/2 n^T B n) at the integer points `pts` (N x g), for each
-    argument u at the matrix B (see _chunks).  U is one argument (a
-    g-vector), for which N summands are returned, or the k x g array of k
-    arguments, for which an N x k array is.  The summands are not finite
-    where they overflow.  They are complex, or real when U and B are real.
-    The pmf and the sampler's weights form their summands here, one per
-    point; the ball evaluators form pair parts (_pair_summands_at).
+    argument u at the matrix B: the exp of _log_summands, shaped as it is,
+    formed in chunks of points whose floats and B products hold at most
+    TILE_ELEMENTS doubles.  The summands are 0 where they underflow and
+    not finite where they overflow.  The pmf and the sampler's weights form
+    their summands here, one per point; the ball evaluators form pair parts
+    (_pair_summands_at).
     """
-    terms = np.concatenate(_chunks(_summands, pts, np.atleast_2d(U), B))
-    return terms if np.ndim(U) == 2 else terms[:, 0]
+    step = max(1, TILE_ELEMENTS // (3 * pts.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate(
+            [np.exp(_log_summands(pts[lo : lo + step], U, B)) for lo in range(0, len(pts), step)]
+        )
 
 
 def _pair_summands_at(half: np.ndarray, U: np.ndarray, B: np.ndarray) -> tuple:
     """The even and odd parts t(n) + t(-n) and t(n) - t(-n) of the summands
     at the points `half` of a half ball (N x g), for each row u of the
-    k x g array U at the matrix B (see _chunks): two N x k arrays, complex,
-    or real when U and B are real, not finite where they overflow.
+    k x g array U at the matrix B: two N x k arrays, complex, or real when
+    U and B are real, not finite where they overflow.  The parts are formed
+    by _pair_summands with phase tables up to K, the largest |n_i|, in
+    chunks whose float points and B products hold at most TILE_ELEMENTS
+    doubles; real U and B take no phase tables and no complex exp, for
+    then every phase is 1.
 
     The origin pairs with itself: when half starts there, that is when it
     holds the start of its half ball, its parts are set to 1 and 0, so its
     term is counted once.  No other point is the origin.
+
+    Raises ToleranceUnreachable when the phase tables of one argument,
+    g(2K + 1) entries, would exceed POINT_BUDGET, whether or not they are
+    formed.
     """
-    chunks = _chunks(_pair_summands, half, U, B)
+    g = U.shape[1]
+    K = int(np.abs(half).max(initial=0))
+    if g * (2 * K + 1) > POINT_BUDGET:
+        raise ToleranceUnreachable(f"phase tables to |n_i| = {K} exceed {POINT_BUDGET} entries")
+    re_V = np.ascontiguousarray(U.real.T)
+    if U.imag.any() or B.imag.any():
+        B_planes, tables = np.array([B.real, B.imag]), _phase_tables(U.imag, K)
+    else:
+        B_planes, tables = np.array([B.real]), None
+    step = max(1, TILE_ELEMENTS // (3 * g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        chunks = [
+            _pair_summands(c, c.astype(float), re_V, tables, K, B_planes)
+            for c in (half[lo : lo + step] for lo in range(0, len(half), step))
+        ]
     even, odd = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
     if not half[0].any():
         even[0], odd[0] = 1.0, 0.0

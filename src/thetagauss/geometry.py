@@ -33,6 +33,7 @@ from .engine import (
     TILE_ELEMENTS,
     TWO_PI,
     ThetaPoint,
+    _log_summands,
     _require_finite,
     as_siegel,
     lattice_points,
@@ -248,8 +249,9 @@ class _Line:
     """The summands of theta along the complex line u = base + t*d at one B.
 
     e(n.u - 1/2 n^T B n) = exp(L_n + 2*pi*t*s_n), with
-    L_n = 2*pi*(n.base - 1/2 n^T B n) and s_n = n.d.  The memo holds L and
-    s over the largest lattice ball asked for so far, in the order of
+    L_n = 2*pi*(n.base - 1/2 n^T B n) the engine's exponent of the summand
+    at base (engine._log_summands) and s_n = n.d.  The memo holds L and s
+    over the largest lattice ball asked for so far, in the order of
     lattice_points, so a smaller ball is a prefix of it and a larger one
     forms L and s for its new points only.
     """
@@ -265,10 +267,9 @@ class _Line:
         pts = lattice_points(self.B.g, radius)
         L, s = self.L, self.s
         if len(pts) > len(L):
-            x = pts[len(L) :].astype(float)
-            quad = np.einsum("pi,pi->p", x @ self.B.entries, x)
-            L = np.concatenate([L, TWO_PI * (x @ self.base - 0.5 * quad)])
-            s = np.concatenate([s, x @ self.direction])
+            more = pts[len(L) :]
+            L = np.concatenate([L, _log_summands(more, self.base, self.B.entries)])
+            s = np.concatenate([s, more.astype(float) @ self.direction])
             self.L, self.s = L, s
         return L[: len(pts)], s[: len(pts)]
 

@@ -335,16 +335,19 @@ class TestZeroScan:
         assert abs(brute_theta(u, B, 10)) < ZERO_TOL
 
     def test_line_terms_are_the_engine_exponent(self, rng):
-        """After a scan and a ball of Newton's size, the memo's exponents
-        are those of engine._log_summands over the whole ball, and
-        engine._summands_at is their exp, bit for bit."""
+        """After a scan and a ball of Newton's size (first derivatives at
+        DIVISOR_EPS, at t = +-4 +- 4i, inside the drift Newton allows from
+        the window), the memo's exponents are those of
+        engine._log_summands over the whole ball, and engine._summands_at
+        is their exp, bit for bit."""
         for _ in range(3):
             base, direction, B = workload_line(rng)
             line = geometry._Line(base, direction, as_siegel(B))
             ax = np.linspace(-2.0, 2.0, ZERO_GRID)
             geometry._scan(line, ax, ax)
             scanned = len(line.L)
-            R = truncation_radius(B, base + 2.0 * direction, unit(2, 0), DIVISOR_EPS).radius
+            corners = [base + complex(a, b) * direction for a in (-4, 4) for b in (-4, 4)]
+            R = max(truncation_radius(B, u, unit(2, 0), DIVISOR_EPS).radius for u in corners)
             L = line.terms(R)[0]
             pts = lattice_points(2, R)
             assert scanned < len(pts) == len(L)
