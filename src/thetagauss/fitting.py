@@ -205,8 +205,9 @@ def fit(
 
     Raises NoConvergence after max_iterations, ToleranceUnreachable when the
     target is wider than the engine can fit (the start point's Re(B0) is
-    at or below engine.LAMBDA_MIN_FLOOR), and NonPositiveDefinite, from
-    MomentData, for an invalid target.
+    at or below engine.LAMBDA_MIN_FLOOR) or narrower (B0 is not finite in
+    double precision), and NonPositiveDefinite, from MomentData, for an
+    invalid target.
     """
     if not isinstance(target, MomentData):
         target = MomentData(*target)
@@ -219,8 +220,14 @@ def fit(
     mu_t = target.mu - shift
     S_t = target.sigma + np.outer(mu_t, mu_t)
 
-    B = np.linalg.inv(target.sigma) / TWO_PI
-    B = 0.5 * (B + B.T)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        B = np.linalg.inv(target.sigma) / TWO_PI
+        B = 0.5 * (B + B.T)
+    if not np.isfinite(B).all():  # Sigma^-1 is beyond double range
+        narrowest = np.linalg.eigvalsh(target.sigma)[0]
+        raise ToleranceUnreachable(
+            f"the target covariance has smallest eigenvalue {narrowest:.3e}, narrower than the engine can fit"
+        )
     u = B @ mu_t
     x = _pack(u, B, pairs)
 
