@@ -134,10 +134,25 @@ def _real_moments(p: ThetaPoint, order: int, eps: float) -> tuple[float, dict]:
     return derivs[(0,) * p.g], moment_table(derivs)
 
 
+def _about_mode(p: CanonicalPoint) -> tuple[np.ndarray, ThetaPoint]:
+    """m = round(B^-1 u), the lattice point nearest the mode, and the point
+    (u - Bm, B) of the law of X - m (the translation action), whose theta
+    stays of order one however far the mean is from the origin."""
+    m = np.round(np.linalg.solve(p.B, p.u))
+    return m, ThetaPoint(p.u - p.B @ m, p.B)
+
+
 def forward_moments(p: CanonicalPoint, eps: float = 1e-12) -> MomentData:
-    """Mean and covariance of the discrete Gaussian at real parameters."""
-    _, mus = _real_moments(p.to_theta_point(), 2, eps)
-    return MomentData(*mean_cov(mus, p.g))
+    """Mean and covariance of the discrete Gaussian at real parameters.
+
+    The sums run about m = round(B^-1 u) (_about_mode): the moments are
+    those of X - m, with m added to the mean, so the cost does not grow
+    with the distance of the mean from the origin.
+    """
+    m, centred = _about_mode(p)
+    _, mus = _real_moments(centred, 2, eps)
+    mean, cov = mean_cov(mus, p.g)
+    return MomentData(mean + m, cov)
 
 
 def _triu_pairs(g: int) -> list[tuple[int, int]]:

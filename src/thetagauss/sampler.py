@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ThetaPoint, _real, _summands_at, lattice_points, theta, truncation_radius
+from .engine import _real, _summands_at, lattice_points, theta, truncation_radius
 from .errors import InvalidParameters, ToleranceUnreachable, TooFewSamples
-from .fitting import CanonicalPoint
+from .fitting import CanonicalPoint, _about_mode
 
 RNG_ALGORITHM = "philox4x64"  # numpy Philox, 53-bit mantissa uniforms
 
@@ -60,8 +60,7 @@ def support_radius(p: CanonicalPoint, tail_eps: float) -> float:
 
 def _certified_ball(p: CanonicalPoint, tail_eps: float) -> tuple[np.ndarray, float, float]:
     """m = round(B^-1 u), theta(u - Bm, B) and the certified radius about m."""
-    m = np.round(np.linalg.solve(p.B, p.u))
-    tp = ThetaPoint(p.u - p.B @ m, p.B)
+    m, tp = _about_mode(p)
     t = theta(tp, 1e-12).real
     budget = truncation_radius(tp.B, tp.u, None, tail_eps * t)
     return m.astype(np.int64), t, budget.radius

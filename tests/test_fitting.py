@@ -60,6 +60,24 @@ class TestForwardMoments:
         assert np.allclose(md.mu, mean.real, atol=1e-11)
         assert np.allclose(md.sigma, cov.real, atol=1e-11)
 
+    def test_mean_at_mahalanobis_distance_40(self):
+        """Summed about the mode, a law whose sums about the origin
+        overflow matches brute force over a cube about its mode."""
+        from oracles import brute_pmf_about
+
+        S = np.array([[1.0, 0.3], [0.3, 1.0]])
+        B = np.linalg.inv(S) / TWO_PI
+        B = 0.5 * (B + B.T)
+        mu = 40.0 * np.linalg.cholesky(S) @ np.array([np.cos(0.7), np.sin(0.7)])
+        md = forward_moments(CanonicalPoint(B @ mu, B))
+        pmf = brute_pmf_about(B @ mu, B, np.round(mu), 12)
+        cells = np.array(list(pmf), dtype=float)
+        p = np.array(list(pmf.values()))
+        mean = p @ cells
+        cov = (cells - mean).T @ ((cells - mean) * p[:, None])
+        assert np.allclose(md.mu, mean, rtol=1e-13, atol=0)
+        assert np.allclose(md.sigma, cov, rtol=0, atol=1e-13)
+
 
 class TestFit:
     def test_standard_discrete_gaussian(self):
