@@ -86,8 +86,9 @@ phase.  The phase e(i*Im E) splits into a per-point factor
 c = exp(-i*pi n^T Im B n), shared by all rows and even in n, and one
 factor exp(2*pi*i n_i Im u_i) per coordinate, gathered at n_i from a
 table over j in [-K, K] (K the largest |n_i| of the points) built once
-per row, so no sine or cosine is taken per point and row.  The rows of -j are the exact conjugates of
-those of j, so the product P of the gathered factors at -n is conj(P).
+per row, so no sine or cosine is taken per point and row.  The rows of
+-j are the exact conjugates of those of j, so the product P of the
+gathered factors at -n is conj(P).
 A pair therefore takes its quadratic form, c and P once, and two real
 exps for the magnitudes M+- = exp(-pi n^T Re B n +- 2*pi n.Re u); its
 parts are c((M+ + M-) Re P + i(M+ - M-) Im P) and

@@ -241,7 +241,8 @@ def fit(
     if not np.isfinite(B).all():  # Sigma^-1 is beyond double range
         narrowest = np.linalg.eigvalsh(target.sigma)[0]
         raise ToleranceUnreachable(
-            f"the target covariance has smallest eigenvalue {narrowest:.3e}, narrower than the engine can fit"
+            f"the target covariance has smallest eigenvalue {narrowest:.3e}, "
+            "narrower than the engine can fit"
         )
     u = B @ mu_t
     x = _pack(u, B, pairs)
