@@ -33,10 +33,11 @@ Gaussian factor and their quadratic phase and differ only through
 e(+-n.u).  Negation reverses the lexicographic order of a shell, so the
 second half of every shell is its first half negated and reversed.  The
 half ball, the origin followed by the first half of each shell, is
-derived once per enumeration and held beside the ball (_HALVES, half as
-many points again as the ball); like the ball it is closed under
+derived once per enumeration and held in the ball's own _BALLS entry (half
+as many points again as the ball); like the ball it is closed under
 prefixes, and the prefix of (N + 1) // 2 points pairs the N points of a
-ball prefix (_half_ball).
+ball prefix.  lattice_points and _half_ball read the one entry (_held), so
+a ball prefix and its half ball always come from the same enumeration.
 
 A single term t(n) = e(n.u - 1/2 n^T B n) at an explicit point is the
 exp of one exponent, 2*pi*(n.u - 1/2 n^T B n), written once in
@@ -116,11 +117,9 @@ Tile boundaries, monomial values (exact integers) and the matrix products
 per tile are those of a fresh build, so results are bit-identical
 whatever the cache holds.
 
-All functions are pure; held lattice balls are immutable, and a held
-ball, its half ball, a PointSums memo and a _TILES entry are replaced
-whole, so a race between threads only recomputes: a held half ball too
-short for a ball prefix read before another thread replaced the ball is
-derived afresh from that prefix.
+All functions are pure; held lattice balls are immutable, and a _BALLS
+entry (a ball with its half ball), a PointSums memo and a _TILES entry are
+replaced whole, so a race between threads only recomputes.
 """
 
 from __future__ import annotations
@@ -298,8 +297,9 @@ def truncation_radius(B, u, a=None, eps: float = 1e-12) -> TruncationBudget:
     budget admits (_max_radius), then bisects between the last radius that
     failed and the first that certified eps.
 
-    Raises ToleranceUnreachable if eps is below the double-precision floor
-    or the ball would hold more than POINT_BUDGET lattice points.
+    Raises ToleranceUnreachable if eps is below the double-precision floor,
+    rho = ||Re u|| or rho^2 is beyond double range, or the ball would hold
+    more than POINT_BUDGET lattice points.
     """
     B = as_siegel(B)
     u = np.atleast_1d(np.asarray(u, dtype=complex))
@@ -311,7 +311,11 @@ def truncation_radius(B, u, a=None, eps: float = 1e-12) -> TruncationBudget:
             f"eps={eps:.3e} is below the double-precision floor {EPS_FLOOR:.0e}"
         )
     lam = B.lambda_min
-    rho = float(np.linalg.norm(u.real))
+    with np.errstate(over="ignore"):
+        rho = float(np.linalg.norm(u.real))
+    if not math.isfinite(rho * rho):
+        big = float(np.abs(u.real).max())
+        raise ToleranceUnreachable(f"||Re u||^2 is beyond double range (largest |Re u_i| is {big:.3e})")
     top = math.floor(_max_radius(B.g))
 
     # start past the peak of the shell-term profile so shell terms decrease;
@@ -337,14 +341,11 @@ def truncation_radius(B, u, a=None, eps: float = 1e-12) -> TruncationBudget:
     return TruncationBudget(eps=eps, radius=float(R))
 
 
-# g -> (r2, points, squared norms) of the largest ball ||n||^2 <= r2
-# enumerated so far in Z^g; entries are replaced whole, and dropped, the
+# g -> (r2, points, squared norms, half ball) of the largest ball
+# ||n||^2 <= r2 enumerated so far in Z^g, the half ball (_first_halves)
+# derived once per enumeration; entries are replaced whole, and dropped, the
 # largest of another genus first, while all hold more than POINT_BUDGET points.
 _BALLS: dict = {}
-
-# g -> the half ball (_first_halves) of the ball _BALLS holds for g,
-# derived once per enumeration, replaced and dropped with it.
-_HALVES: dict = {}
 
 
 def _ball(g: int, r2: int) -> tuple:
@@ -361,7 +362,7 @@ def _ball(g: int, r2: int) -> tuple:
         pts[1::2] *= -1
         n2 = pts[:, 0] ** 2
     else:
-        _, sub, sub_n2 = _ball(g - 1, r2)
+        _, sub, sub_n2, _ = _ball(g - 1, r2)
         counts = np.searchsorted(sub_n2, r2 - np.arange(-K, K + 1) ** 2, side="right")
         ends = np.cumsum(counts)
         n2 = np.empty(ends[-1], dtype=np.int64)
@@ -378,14 +379,11 @@ def _ball(g: int, r2: int) -> tuple:
             pts[lo : lo + len(f), 1:] = sub[f - ends[c] + counts[c]]
         del order  # freed before the half ball is derived
     pts.setflags(write=False)
-    _HALVES[g] = _first_halves(pts)
-    held = _BALLS[g] = (r2, pts, n2)
+    held = _BALLS[g] = (r2, pts, n2, _first_halves(pts))
     # snapshots and a default pop, so threads may race
     others = sorted((len(b[2]), h) for h, b in list(_BALLS.items()) if h != g)
     while others and sum(len(b[2]) for b in list(_BALLS.values())) > POINT_BUDGET:
-        h = others.pop()[1]
-        _BALLS.pop(h, None)
-        _HALVES.pop(h, None)
+        _BALLS.pop(others.pop()[1], None)
     return held
 
 
@@ -404,15 +402,16 @@ def _first_halves(pts: np.ndarray) -> np.ndarray:
     return half
 
 
-def _half_ball(pts: np.ndarray) -> np.ndarray:
-    """The half ball of the ball prefix `pts` that lattice_points returned:
-    (len(pts) + 1) // 2 points, a prefix of the held half ball, or derived
-    from pts when the held ball has changed since (another thread)."""
-    n = (len(pts) + 1) // 2
-    half = _HALVES.get(pts.shape[1])
-    if half is None or len(half) < n:
-        return _first_halves(pts)
-    return half[:n]
+def _held(g: int, radius: float) -> tuple:
+    """The held entry of _BALLS that covers ||n||_2 <= radius in Z^g, and
+    how many of its points lie in that ball.  Raises ToleranceUnreachable,
+    before enumerating anything, when the ball could hold more than
+    POINT_BUDGET points (radius above _max_radius(g))."""
+    if radius > _max_radius(g):
+        raise ToleranceUnreachable(f"radius {radius:g} at g={g} is beyond {POINT_BUDGET} points")
+    r2 = int(math.floor(radius * radius + 1e-9))
+    held = _ball(int(g), r2)
+    return held, int(held[2].searchsorted(r2, side="right"))
 
 
 def lattice_points(g: int, radius: float) -> np.ndarray:
@@ -422,11 +421,16 @@ def lattice_points(g: int, radius: float) -> np.ndarray:
     ToleranceUnreachable, before enumerating anything, when the ball could
     hold more than POINT_BUDGET points (radius above _max_radius(g)).
     """
-    if radius > _max_radius(g):
-        raise ToleranceUnreachable(f"radius {radius:g} at g={g} is beyond {POINT_BUDGET} points")
-    r2 = int(math.floor(radius * radius + 1e-9))
-    _, pts, n2 = _ball(int(g), r2)
-    return pts[: n2.searchsorted(r2, side="right")]
+    (_, pts, _, _), n = _held(g, radius)
+    return pts[:n]
+
+
+def _half_ball(g: int, radius: float) -> np.ndarray:
+    """The half ball of lattice_points(g, radius): the (N + 1) // 2 points
+    that pair its N points, a read-only prefix of the half ball held in the
+    same _BALLS entry, so both come from one enumeration."""
+    (_, _, _, half), n = _held(g, radius)
+    return half[: (n + 1) // 2]
 
 
 class _Plan(NamedTuple):
@@ -640,14 +644,13 @@ def _pair_summands_at(half: np.ndarray, U: np.ndarray, B: np.ndarray) -> tuple:
     holds the start of its half ball, its parts are set to 1 and 0, so its
     term is counted once.  No other point is the origin.
 
-    Raises ToleranceUnreachable when the phase tables of one argument,
-    g(2K + 1) entries, would exceed POINT_BUDGET, whether or not they are
-    formed.
+    The phase tables of one argument hold g(2K + 1) entries, at most
+    POINT_BUDGET for a half ball of _half_ball: K is at most the largest
+    radius lattice_points admits, floor(_max_radius(g)), which is
+    2^22 - 1 at g = 1 and at most 1,633 at g >= 2.
     """
     g = U.shape[1]
     K = int(np.abs(half).max(initial=0))
-    if g * (2 * K + 1) > POINT_BUDGET:
-        raise ToleranceUnreachable(f"phase tables to |n_i| = {K} exceed {POINT_BUDGET} entries")
     re_V = np.ascontiguousarray(U.real.T)
     if U.imag.any() or B.imag.any():
         B_planes, tables = np.array([B.real, B.imag]), _phase_tables(U.imag, K)
@@ -728,7 +731,7 @@ class PointSums:
         p = self.point
         plan = _plan(indices, p.g)
         radius = truncation_radius(p.B, p.u, plan.worst, self.eps).radius
-        half = _half_ball(lattice_points(p.g, radius))
+        half = _half_ball(p.g, radius)
         _, even, odd = self._held
         if len(half) > len(even):
             more = _pair_summands_at(half[len(even) :], p.u[None, :], p.B.entries)
@@ -773,7 +776,7 @@ def theta_du_stack(indices, U, B, eps: float = 1e-12) -> np.ndarray:
     for start in range(0, len(U), STACK_BLOCK):
         block = order[start : start + STACK_BLOCK]
         radius = truncation_radius(B, U[block[-1]], plan.worst, eps).radius
-        half = _half_ball(lattice_points(g, radius))
+        half = _half_ball(g, radius)
         # rows per pass over the ball: their phase tables, g x (2K+1)
         # complex entries per row, and their two parts, 2N complex entries
         # per row, each hold at most TILE_ELEMENTS doubles

@@ -33,9 +33,6 @@ class NonPositiveDefinite(InvalidParameters):
     square or finite."""
 
 
-NotPD = NonPositiveDefinite  # the former name of the same class
-
-
 class NotUnimodular(InvalidParameters):
     """An integer matrix does not have determinant +-1."""
 
@@ -45,7 +42,8 @@ class NotUnimodular(InvalidParameters):
 class ToleranceUnreachable(NumericalFailure):
     """The requested value cannot be certified: its lattice ball could
     hold more than the engine's POINT_BUDGET points, the tolerance is below
-    the double-precision floor, or the summands overflow."""
+    the double-precision floor, or the summands, a quantity formed from the
+    arguments or the result leave double range."""
 
 
 class DivisorHit(NumericalFailure):

@@ -42,8 +42,6 @@ MAX_ITERATIONS = 200
 # (Boyd & Vandenberghe, Convex Optimization, section 9.5).
 ARMIJO_SLACK = 16 * np.finfo(float).eps
 
-_objective = cross_entropy  # the former name of the same function
-
 
 def _check_real_spd(M, name: str, tol: float = 1e-10):
     M = np.atleast_2d(np.asarray(_real(M, NonPositiveDefinite, name), dtype=float))
@@ -115,9 +113,6 @@ class CanonicalPoint:
     def g(self) -> int:
         return len(self.u)
 
-    def to_theta_point(self) -> ThetaPoint:
-        return ThetaPoint(self.u.astype(complex), self.B.astype(complex))
-
 
 @dataclass(frozen=True)
 class FitReport:
@@ -137,9 +132,18 @@ def _real_moments(p: ThetaPoint, order: int, eps: float) -> tuple[float, dict]:
 def _about_mode(p: CanonicalPoint) -> tuple[np.ndarray, ThetaPoint]:
     """m = round(B^-1 u), the lattice point nearest the mode, and the point
     (u - Bm, B) of the law of X - m (the translation action), whose theta
-    stays of order one however far the mean is from the origin."""
-    m = np.round(np.linalg.solve(p.B, p.u))
-    return m, ThetaPoint(p.u - p.B @ m, p.B)
+    stays of order one however far the mean is from the origin.
+
+    Raises ToleranceUnreachable when an entry of m is beyond 2^53, where
+    the lattice points about m are not exact, or u - Bm is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.round(np.linalg.solve(p.B, p.u))
+        centred = p.u - p.B @ m
+    if not (np.abs(m) <= 2.0**53).all() or not np.isfinite(centred).all():
+        raise ToleranceUnreachable(
+            f"the mode of the law, round(B^-1 u) = {m}, is beyond the range of exact lattice points"
+        )
+    return m, ThetaPoint(centred, p.B)
 
 
 def forward_moments(p: CanonicalPoint, eps: float = 1e-12) -> MomentData:
@@ -148,11 +152,22 @@ def forward_moments(p: CanonicalPoint, eps: float = 1e-12) -> MomentData:
     The sums run about m = round(B^-1 u) (_about_mode): the moments are
     those of X - m, with m added to the mean, so the cost does not grow
     with the distance of the mean from the origin.
+
+    Raises ToleranceUnreachable when the mode is beyond exact lattice
+    points (_about_mode) or the law's covariance is not positive definite
+    in double precision, for a law too narrow for its variance to be
+    resolved.
     """
     m, centred = _about_mode(p)
     _, mus = _real_moments(centred, 2, eps)
     mean, cov = mean_cov(mus, p.g)
-    return MomentData(mean + m, cov)
+    try:
+        return MomentData(mean + m, cov)
+    except NonPositiveDefinite as err:  # the covariance underflows
+        raise ToleranceUnreachable(
+            f"the law's covariance has smallest eigenvalue {np.linalg.eigvalsh(cov)[0]:.3e}, "
+            "narrower than double precision resolves"
+        ) from err
 
 
 def _triu_pairs(g: int) -> list[tuple[int, int]]:
@@ -221,8 +236,8 @@ def fit(
     Raises NoConvergence after max_iterations, ToleranceUnreachable when the
     target is wider than the engine can fit (the start point's Re(B0) is
     at or below engine.LAMBDA_MIN_FLOOR) or narrower (B0 is not finite in
-    double precision), and NonPositiveDefinite, from MomentData, for an
-    invalid target.
+    double precision) or when the fitted u is not finite, and
+    NonPositiveDefinite, from MomentData, for an invalid target.
     """
     if not isinstance(target, MomentData):
         target = MomentData(*target)
@@ -276,8 +291,15 @@ def fit(
 
         if resid < tol and decrement_sq < tol * tol:
             u, B = _unpack(x, g, pairs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = u + B @ shift
+            if not np.isfinite(u).all():
+                raise ToleranceUnreachable(
+                    f"the fitted u = {u} is beyond double range: the fitted B "
+                    "times the target mean overflows"
+                )
             return FitReport(
-                params=CanonicalPoint(u + B @ shift, B),
+                params=CanonicalPoint(u, B),
                 iterations=iteration - 1,
                 grad_norm=resid,
                 objective=F,

@@ -60,7 +60,7 @@ SCAN_EPS = 1e-8
 ZERO_TOL = 1e-10
 DIVISOR_EPS = 1e-12
 
-# Lattice points per real product of the scan: a (41 x 64) @ (64 x 82)
+# Lattice points per complex product of the scan: a (41 x 32) @ (32 x 41)
 # product stays below the size at which OpenBLAS starts worker threads,
 # which would spend more CPU time than they save on products this small.
 SCAN_TILE = 32
@@ -295,8 +295,7 @@ def _scan(line: _Line, res: np.ndarray, ims: np.ndarray) -> np.ndarray:
     finite wherever the summands at the grid points are, and |P| <= 1:
     where P underflows, the summand's error is at most 2^-1074 |S[j, n]|,
     far below the rounding of S[j, n] itself.  The points are contracted
-    in tiles of SCAN_TILE, one real product each, over the (re, im) view
-    of S and a block matrix of P.
+    in tiles of SCAN_TILE, one complex product S[:, tile] @ P[tile] each.
 
     Raises ToleranceUnreachable when a value is not finite in double
     precision or the certificate cannot be issued.
@@ -305,25 +304,18 @@ def _scan(line: _Line, res: np.ndarray, ims: np.ndarray) -> np.ndarray:
     far = max(corners, key=lambda u: np.linalg.norm(u.real))
     L, s = line.terms(truncation_radius(line.B, far, None, SCAN_EPS).radius)
     peak = np.where(s.imag > 0, ims.min(), ims.max())
-    step = max(1, TILE_ELEMENTS // (2 * len(res) + 4 * len(ims)) // SCAN_TILE) * SCAN_TILE
-    sums = np.zeros((len(res), 2 * len(ims)))
+    step = max(1, TILE_ELEMENTS // (2 * (len(res) + len(ims))) // SCAN_TILE) * SCAN_TILE
+    sums = np.zeros((len(res), len(ims)), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(L), step):
             sn, cn = s[lo : lo + step], peak[lo : lo + step]
             rate = TWO_PI * sn
             S = np.exp((L[lo : lo + step] + 1j * cn * rate) + res[:, None] * rate)
-            # rows 2n and 2n + 1 of the block matrix: P[:, n] and i*P[:, n]
-            # as (re, im) pairs, so (re, im) of S[:, n] times them sums to
-            # (re, im) of S[:, n] * P[:, n]
-            P = np.empty((len(sn), 2, len(ims)), dtype=complex)
-            P[:, 0] = np.exp((1j * rate)[:, None] * (ims - cn[:, None]))
-            P[:, 1] = 1j * P[:, 0]
+            P = np.exp((1j * rate)[:, None] * (ims - cn[:, None]))
             for t in range(0, len(sn), SCAN_TILE):
-                tile = P[t : t + SCAN_TILE].reshape(-1, len(ims))
-                sums += S[:, t : t + SCAN_TILE].view(float) @ tile.view(float)
-    out = sums.view(complex)
-    _require_finite(out)
-    return out
+                sums += S[:, t : t + SCAN_TILE] @ P[t : t + SCAN_TILE]
+    _require_finite(sums)
+    return sums
 
 
 def find_theta_zero(line, B, t_window=((-2.0, 2.0), (-2.0, 2.0))) -> np.ndarray:
@@ -334,9 +326,12 @@ def find_theta_zero(line, B, t_window=((-2.0, 2.0), (-2.0, 2.0))) -> np.ndarray:
     Both evaluate the summands of one memo along the line (_Line).  The
     ZERO_GRID x ZERO_GRID scan (_scan) is one contraction over one ball,
     certified at SCAN_EPS.  Newton starts from the five grid points of
-    smallest |theta| and, once |theta| < ZERO_TOL, steps on while |theta|
-    still falls, so a flat zero (small |theta'|) is found to rounding, not
-    to ZERO_TOL / |theta'|; the last such point is the zero when it lies
+    smallest floor(|theta| / SCAN_EPS), in grid order among equals, so the
+    candidates do not depend on the scan's rounding below its certified
+    accuracy (on a line along a period the grid holds copies of one value).
+    Once |theta| < ZERO_TOL, Newton steps on while |theta| still falls, so
+    a flat zero (small |theta'|) is found to rounding, not to
+    ZERO_TOL / |theta'|; the last such point is the zero when it lies
     inside the window.  Each step forms w_n = exp(L_n + 2*pi*t*s_n) over the
     ball certified for first derivatives at DIVISOR_EPS, and takes
     f = sum w and f' = 2*pi*sum s*w, the derivative along the direction,
@@ -362,8 +357,10 @@ def find_theta_zero(line, B, t_window=((-2.0, 2.0), (-2.0, 2.0))) -> np.ndarray:
     ims = np.linspace(im_lo, im_hi, ZERO_GRID)
     ts = (res[:, None] + 1j * ims[None, :]).ravel()
     scan = _scan(memo, res, ims).ravel()
-    # the five grid points of smallest |theta|, smallest first
-    cands = [complex(t) for t in ts[np.argsort(np.abs(scan), kind="stable")[:5]]]
+    # the five grid points of smallest |theta| in units of SCAN_EPS, smallest
+    # first; values the scan's certificate cannot tell apart keep grid order
+    rank = np.floor(np.abs(scan) / SCAN_EPS)
+    cands = [complex(t) for t in ts[np.argsort(rank, kind="stable")[:5]]]
 
     span = max(re_hi - re_lo, im_hi - im_lo)
     margin = 2.0 * span / (ZERO_GRID - 1)

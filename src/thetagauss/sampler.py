@@ -59,7 +59,9 @@ def support_radius(p: CanonicalPoint, tail_eps: float) -> float:
 
 
 def _certified_ball(p: CanonicalPoint, tail_eps: float) -> tuple[np.ndarray, float, float]:
-    """m = round(B^-1 u), theta(u - Bm, B) and the certified radius about m."""
+    """m = round(B^-1 u) as integers, theta(u - Bm, B) and the certified
+    radius about m.  Raises ToleranceUnreachable, from _about_mode, when m
+    is beyond 2^53 or u - Bm is not finite."""
     m, tp = _about_mode(p)
     t = theta(tp, 1e-12).real
     budget = truncation_radius(tp.B, tp.u, None, tail_eps * t)

@@ -4,11 +4,11 @@ import pytest
 import thetagauss as tg
 from thetagauss import CanonicalPoint, DiscreteGaussian, MomentData
 from thetagauss.engine import TWO_PI, ThetaPoint, theta
-from thetagauss.errors import DegenerateSample, NoConvergence, NotPD
+from thetagauss.distribution import cross_entropy
+from thetagauss.errors import DegenerateSample, NoConvergence, NonPositiveDefinite
 from thetagauss.fitting import (
     _grad_resid,
     _hessian,
-    _objective,
     _pack,
     _real_moments,
     _triu_pairs,
@@ -24,15 +24,15 @@ SAMPLE_10 = [1, 0, 1, -2, 1, 2, 3, -2, 1, -1]
 
 class TestTargets:
     def test_momentdata_validation(self):
-        with pytest.raises(NotPD):
+        with pytest.raises(NonPositiveDefinite):
             MomentData([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(NotPD):
+        with pytest.raises(NonPositiveDefinite):
             MomentData([0.0], [[-1.0]])
-        with pytest.raises(NotPD):
+        with pytest.raises(NonPositiveDefinite):
             MomentData([0.0, 0.0], [[1.0, 0.3], [0.0, 1.0]])
 
     def test_canonical_point_validation(self):
-        with pytest.raises(NotPD):
+        with pytest.raises(NonPositiveDefinite):
             CanonicalPoint([0.0], [[-0.5]])
         p = CanonicalPoint([0.1, 0.2], [[1.0, 0.2], [0.2, 0.8]])
         assert p.g == 2
@@ -196,7 +196,7 @@ class TestNewtonPieces:
                 for k, (i, j) in enumerate(pairs):
                     BB[i, j] = BB[j, i] = x[g + k]
                 t, _ = _real_moments(ThetaPoint(uu, BB), 0, 1e-13)
-                return _objective(np.log(t), uu, BB, mu_t, S_t)
+                return cross_entropy(np.log(t), uu, BB, mu_t, S_t)
 
             _, mus = _real_moments(ThetaPoint(u, B), 4, 1e-13)
             grad, _ = _grad_resid(mus, g, pairs, mu_t, S_t)
@@ -276,9 +276,9 @@ class TestNonFiniteParameters:
             CanonicalPoint([x], [[1.0]])
         with pytest.raises(ValueError, match="finite"):
             MomentData([x], [[1.0]])
-        with pytest.raises(NotPD, match="finite"):
+        with pytest.raises(NonPositiveDefinite, match="finite"):
             CanonicalPoint([0.0], [[x]])
-        with pytest.raises(NotPD, match="finite"):
+        with pytest.raises(NonPositiveDefinite, match="finite"):
             MomentData([0.0], [[x]])
 
     @pytest.mark.parametrize("x", [np.nan, np.inf])

@@ -355,6 +355,24 @@ class TestZeroScan:
             assert engine._summands_at(pts, base, B).tobytes() == np.exp(L).tobytes()
 
 
+class TestCandidateRule:
+    def test_zero_does_not_depend_on_the_scan_below_its_accuracy(self, monkeypatch):
+        """A line along the period i e_1 holds grid points whose |theta|
+        agree to rounding.  Scans perturbed by a relative 1e-15, far below
+        SCAN_EPS, all lead to one zero."""
+        scan = geometry._scan
+        rng = np.random.default_rng(11)
+
+        def perturbed(line, res, ims):
+            out = scan(line, res, ims)
+            return out * (1.0 + 1e-15 * rng.choice([-1.0, 1.0], out.shape))
+
+        monkeypatch.setattr(geometry, "_scan", perturbed)
+        line = (np.array([0.0, 0.14814 + 0.43228j]), np.array([1.0, 0.0]))
+        zeros = {tuple(np.round(find_theta_zero(line, B_KUMMER), 9)) for _ in range(20)}
+        assert len(zeros) == 1
+
+
 class TestWideLaws:
     """Wide laws whose zero the finder has always located: the scan keeps
     each summand one exp, finite wherever the summands at the grid points

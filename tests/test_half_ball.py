@@ -1,5 +1,5 @@
-"""The antipodal pairs of the lattice ball: the half ball held beside each
-ball, the even and odd parts of the pair summands and the tables the ball
+"""The antipodal pairs of the lattice ball: the half ball held in each
+ball's entry, the even and odd parts of the pair summands and the tables the ball
 evaluators contract from them."""
 
 import numpy as np
@@ -38,24 +38,33 @@ def test_each_shell_is_its_first_half_then_that_half_negated_and_reversed(g):
 def test_half_ball_is_the_origin_and_the_first_half_of_each_shell(g):
     for radius in (0.0, 1.0, 2.5, RADII[g]):
         want = [s[: max(1, len(s) // 2)] for _, s in shells(g, radius)]
-        half = engine._half_ball(lattice_points(g, radius))
+        half = engine._half_ball(g, radius)
         assert np.array_equal(half, np.concatenate(want))
         assert not half.flags.writeable
         # every point of the ball is a half-ball point or its negation, once
         pairs = {tuple(n) for n in half} | {tuple(-n) for n in half}
         assert pairs == {tuple(n) for n in lattice_points(g, radius)}
-    small = engine._half_ball(lattice_points(g, 1.0))
-    large = engine._half_ball(lattice_points(g, RADII[g]))
+    small = engine._half_ball(g, 1.0)
+    large = engine._half_ball(g, RADII[g])
     assert np.array_equal(large[: len(small)], small)
 
 
-def test_half_ball_of_a_changed_held_ball_is_derived_afresh(monkeypatch):
-    """A held half ball shorter than the prefix asked for (the held ball
-    replaced since the prefix was read) is not used."""
-    pts = lattice_points(3, 4.0)
-    want = engine._half_ball(pts)
-    monkeypatch.setattr(engine, "_HALVES", {3: want[:5]})
-    assert np.array_equal(engine._half_ball(pts), want)
+def test_half_ball_follows_its_ball_when_entries_are_replaced(monkeypatch):
+    """After a larger ball of the same genus and a ball of another genus
+    replace held entries, the half ball at an earlier radius is still the
+    half ball of the points lattice_points returns there."""
+    monkeypatch.setattr(engine, "_BALLS", {})
+    monkeypatch.setattr(engine, "POINT_BUDGET", 5000)
+    radii = (0.0, 1.0, 2.5, 4.0)
+    for r in radii:
+        engine._half_ball(3, r)
+    lattice_points(3, 7.0)  # a larger ball of the same genus
+    lattice_points(2, 35.0)  # another genus, which drops the g = 3 ball
+    assert 3 not in engine._BALLS
+    for g, rs in ((3, radii), (2, radii + (35.0,))):
+        for r in rs:
+            want = engine._first_halves(lattice_points(g, r))
+            assert np.array_equal(engine._half_ball(g, r), want)
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -65,7 +74,7 @@ def test_parts_sum_each_pair(rng, real):
     g = 3
     u, B = random_point(rng, g, real)
     U = np.array([u, 0.5 * u])
-    half = engine._half_ball(lattice_points(g, 4.0))
+    half = engine._half_ball(g, 4.0)
     even, odd = engine._pair_summands_at(half, U, B)
     plus = engine._summands_at(half, U, B)
     minus = engine._summands_at(-half, U, B)

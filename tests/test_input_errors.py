@@ -16,7 +16,7 @@ from thetagauss import (
     fit_from_sample,
 )
 from thetagauss.engine import SiegelMatrix, truncation_radius
-from thetagauss.errors import InvalidParameters, NotPD, NotUnimodular
+from thetagauss.errors import InvalidParameters, NonPositiveDefinite, NotUnimodular
 
 from test_cli import run, strict_loads
 
@@ -82,9 +82,9 @@ REAL_ONLY = {
     "unimodular_alpha": (lambda a: LAW.unimodular(a).u, np.array([[-1.0]]), NotUnimodular),
     "char_fn_v": (lambda v: LAW.char_fn(v), np.array([0.5]), ValueError),
     "point_u": (lambda u: CanonicalPoint(u, np.eye(2)).u, np.array([0.1, 0.2]), ValueError),
-    "point_B": (lambda B: CanonicalPoint([0.1, 0.2], B).B, np.eye(2), NotPD),
+    "point_B": (lambda B: CanonicalPoint([0.1, 0.2], B).B, np.eye(2), NonPositiveDefinite),
     "moments_mu": (lambda mu: MomentData(mu, np.eye(2)).mu, np.array([0.1, 0.2]), ValueError),
-    "moments_sigma": (lambda s: MomentData([0.1, 0.2], s).sigma, np.eye(2), NotPD),
+    "moments_sigma": (lambda s: MomentData([0.1, 0.2], s).sigma, np.eye(2), NonPositiveDefinite),
     "fit_data": (lambda x: fit_from_sample(x, tol=1e-6).params.u, SAMPLE.astype(float), ValueError),
     "chi_square_rows": (lambda x: chi_square(x, POINT), SAMPLE.astype(float), InvalidParameters),
 }

@@ -130,5 +130,5 @@ def test_held_balls_of_all_genera_stay_within_the_budget(balls, monkeypatch):
     monkeypatch.setattr(engine, "POINT_BUDGET", 5000)
     for g in range(1, 6):
         pts = lattice_points(g, math.floor(engine._max_radius(g)))
-        assert sum(len(n2) for _, _, n2 in balls.values()) <= 5000
+        assert sum(len(n2) for _, _, n2, _ in balls.values()) <= 5000
         assert np.array_equal(pts, brute_ball(g, math.floor(engine._max_radius(g))))

@@ -48,13 +48,17 @@ def test_largest_admitted_ball_fits_the_budget(monkeypatch, g):
 
 
 def test_phase_tables_are_held_to_the_budget(monkeypatch):
-    # the half-ball point (0, -3) at g = 2 needs tables of 2 (2 * 3 + 1) = 14 entries
-    half, U = np.array([[0, -3]]), np.zeros((1, 2), dtype=complex)
-    monkeypatch.setattr(engine, "POINT_BUDGET", 14)
-    engine._pair_summands_at(half, U, np.eye(2))
-    monkeypatch.setattr(engine, "POINT_BUDGET", 13)
-    with pytest.raises(ToleranceUnreachable):
-        engine._pair_summands_at(half, U, np.eye(2))
+    """The phase tables of one argument, g(2K + 1) entries for K the largest
+    |n_i| of a half ball, fit the point budget for every half ball the
+    engine forms: K is at most the largest radius lattice_points admits."""
+    for g in range(1, 6):
+        K = math.floor(engine._max_radius(g))
+        assert g * (2 * K + 1) <= engine.POINT_BUDGET
+    monkeypatch.setattr(engine, "POINT_BUDGET", 5000)
+    for g in range(1, 6):
+        half = engine._half_ball(g, math.floor(engine._max_radius(g)))
+        K = int(np.abs(half).max())
+        assert g * (2 * K + 1) <= 5000
 
 
 CASES = {

@@ -3,7 +3,7 @@ import pytest
 
 import thetagauss as tg
 from thetagauss import CanonicalPoint, SamplerConfig
-from thetagauss.engine import TWO_PI, lattice_points, theta
+from thetagauss.engine import TWO_PI, ThetaPoint, lattice_points, theta
 from thetagauss.errors import InvalidParameters, ToleranceUnreachable, TooFewSamples
 from thetagauss.fitting import forward_moments
 from thetagauss import sampler
@@ -46,7 +46,7 @@ class TestSupportRadius:
         for tail_eps in (1e-6, 1e-9):
             R = support_radius(p, tail_eps)
             pts = lattice_points(1, R).ravel()
-            t = theta(p.to_theta_point(), 1e-13).real
+            t = theta(ThetaPoint(p.u, p.B), 1e-13).real
             kept = sum(np.exp(-np.pi * float(n) ** 2) for n in pts)
             assert (t - kept) / t < tail_eps
 
