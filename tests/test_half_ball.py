@@ -1,6 +1,6 @@
 """The antipodal pairs of the lattice ball: the half ball held in each
-ball's entry, the even and odd parts of the pair summands and the tables the ball
-evaluators contract from them."""
+ball's entry, the even and odd parts of the pair summands and the tables
+the ball evaluators contract from them."""
 
 import numpy as np
 import pytest
