@@ -124,7 +124,11 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
     Support cells with expected count >= 5 are kept individually (shell
     order); everything else, including the off-support complement, is pooled
     into one cell, which is merged into the smallest kept cell when its own
-    expectation is below 5.  Returns (statistic, dof) with dof = cells - 1.
+    expectation is below 5.  Kept cells whose expectations lie within a
+    relative 1e-9 (the support's tail_eps) of the smallest count as tied,
+    and the first of them in shell order about m = round(B^-1 u), by
+    ||n - m||^2 and then lexicographically, takes the pooled cell.  Returns
+    (statistic, dof) with dof = cells - 1.
 
     Rows are counted through a cell index: a table over the bounding box of
     the kept cells, widened by one cell on every side, maps each box cell to
@@ -161,7 +165,8 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
         raise InvalidParameters("sample rows must be finite")
     n_obs = sample.shape[0]
 
-    pts, weights, t, _ = _support_weights(p, 1e-9)
+    tail_eps = 1e-9
+    pts, weights, t, _ = _support_weights(p, tail_eps)
     probs = weights / t
 
     expected = n_obs * probs
@@ -193,7 +198,9 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
         exp_cells = np.append(kept_exp, pooled_exp)
         obs_cells = np.append(kept_obs, pooled_obs)
     else:
-        k = int(np.argmin(kept_exp))
+        # the first in shell order among the cells within a relative
+        # tail_eps of the smallest, so the last bits of a tie do not choose
+        k = int(np.flatnonzero(kept_exp <= kept_exp.min() * (1.0 + tail_eps))[0])
         kept_exp[k] += pooled_exp
         kept_obs[k] += pooled_obs
         exp_cells, obs_cells = kept_exp, kept_obs

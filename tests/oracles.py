@@ -195,23 +195,33 @@ def brute_pearson(sample, u, B, min_expected=5.0, K=12, centre=None):
     pmf (about `centre` when given, see brute_pmf_about) and a plain dict
     of counts.  Cells with expected count >= min_expected are kept; the
     rest of the lattice is one pooled cell, merged into the smallest kept
-    cell when its own expectation is below min_expected.  Rows are
-    truncated to integers toward zero."""
+    cell when its own expectation is below min_expected.  Cells within a
+    relative 1e-9 of the smallest tie, and the tie goes to the first by
+    ||n - m||^2 and then n - m lexicographically, m = round(B^-1 u) (or
+    `centre`).  Rows are truncated to integers toward zero."""
     pmf = brute_pmf(u, B, K) if centre is None else brute_pmf_about(u, B, centre, K)
+    if centre is None:
+        centre = np.round(np.linalg.solve(np.atleast_2d(B), np.atleast_1d(u))).astype(int)
     counts = {}
     for row in sample:
         key = tuple(int(x) for x in row)
         counts[key] = counts.get(key, 0) + 1
     n_obs = len(sample)
-    cells = [
-        [n_obs * p, float(counts.get(n, 0))] for n, p in pmf.items() if n_obs * p >= min_expected
-    ]
-    pooled_exp = n_obs - sum(e for e, _ in cells)
-    pooled_obs = n_obs - sum(o for _, o in cells)
+    cells = {
+        n: [n_obs * p, float(counts.get(n, 0))] for n, p in pmf.items() if n_obs * p >= min_expected
+    }
+    pooled_exp = n_obs - sum(e for e, _ in cells.values())
+    pooled_obs = n_obs - sum(o for _, o in cells.values())
     if pooled_exp >= min_expected:
-        cells.append([pooled_exp, pooled_obs])
+        cells[None] = [pooled_exp, pooled_obs]
     else:
-        smallest = min(cells, key=lambda c: c[0])
+
+        def shell(n):  # ||n - m||^2, then n - m lexicographically
+            d = tuple(int(a) - int(c) for a, c in zip(n, centre))
+            return sum(x * x for x in d), d
+
+        least = min(e for e, _ in cells.values())
+        smallest = cells[min((n for n, (e, _) in cells.items() if e <= least * (1 + 1e-9)), key=shell)]
         smallest[0] += pooled_exp
         smallest[1] += pooled_obs
-    return sum((o - e) ** 2 / e for e, o in cells), len(cells) - 1
+    return sum((o - e) ** 2 / e for e, o in cells.values()), len(cells) - 1

@@ -297,6 +297,30 @@ class TestChiSquareOracle:
         assert len(calls) == 1
 
 
+class TestChiSquareTie:
+    """Which kept cell takes the pooled cell does not hang on the last bits
+    of a tie between the smallest kept cells."""
+
+    def test_pooled_cell_target_survives_a_nudged_tie(self, monkeypatch):
+        # mean 2.5, m = 2: the smallest kept cells n = -1 and n = 6 expect
+        # the same count up to rounding, and n = -1 is first in shell order
+        u, B = TestChiSquareOracle.PARAMS[1]
+        x = draw(CanonicalPoint(u, B), 5000, SamplerConfig(seed=3))
+        want = chi_square(x, CanonicalPoint(u, B))
+        summands = sampler._summands_at
+        for ulps in (16, -16):
+
+            def nudged(pts, U, B):
+                w = summands(pts, U, B)
+                w[np.all(pts == pts[0] + 4, axis=1)] *= 1 + ulps * np.finfo(float).eps  # n = 6 = m + 4
+                return w
+
+            monkeypatch.setattr(sampler, "_summands_at", nudged)
+            stat, dof = chi_square(x, CanonicalPoint(u, B))
+            assert dof == want[1]
+            assert stat == pytest.approx(want[0], rel=1e-12)
+
+
 def test_support_beyond_the_radius_cap_is_typed_error():
     """A mean 1e9 from the origin: the weights raise ToleranceUnreachable
     before any table over the distance of the mean is built."""
