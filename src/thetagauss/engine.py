@@ -268,8 +268,10 @@ def _tail_bound(g: int, lam: float, rho: float, q: int, R: int) -> float:
     increase with m, because none of its factors does: N(m+1)/N(m) (N(m) is
     g * integral_{-1}^{1} (2m+t)^(g-1) dt, log-concave in m by Prekopa),
     (1 + 1/m)^q and E(m+1)/E(m) = exp(2*pi*(rho - lam*(m + 1/2))).  So the
-    shells past M sum to at most t(M+1) / (1 - t(M+2)/t(M+1)).  Returns inf
-    when that ratio is not below 1 or a term's log reaches 700.
+    shells past M sum to at most t(M+1) / (1 - t(M+2)/t(M+1)), and to 0 when
+    t(M+1) underflows (lam so large that lam (M+1)^2 is beyond double
+    range).  Returns inf when that ratio is not below 1 or a term's log
+    reaches 700.
     """
     M = int(math.ceil(R))
     logc = q * math.log(TWO_PI)
@@ -282,6 +284,8 @@ def _tail_bound(g: int, lam: float, rho: float, q: int, R: int) -> float:
 
     log_head = log_term(g * math.log(2 * M + 1), M, float(R))
     log_first = log_shell(M + 1)
+    if log_first == -math.inf:  # every shell term past M underflows
+        return math.exp(log_head)
     log_ratio = log_shell(M + 2) - log_first
     if max(log_head, log_first) >= 700.0 or log_ratio >= 0.0:
         return math.inf
@@ -295,7 +299,9 @@ def truncation_radius(B, u, a=None, eps: float = 1e-12) -> TruncationBudget:
     multi-index (a = None or zeros for plain theta).  The search doubles
     the radius from its start, at most to the largest radius the point
     budget admits (_max_radius), then bisects between the last radius that
-    failed and the first that certified eps.
+    failed and the first that certified eps.  The search starts past the
+    peak of the shell-term profile, or at 1 when the peak's formula leaves
+    double range, which happens only for lambda_min near the top of it.
 
     Raises ToleranceUnreachable if eps is below the double-precision floor,
     rho = ||Re u|| or rho^2 is beyond double range, or the ball would hold
@@ -322,7 +328,9 @@ def truncation_radius(B, u, a=None, eps: float = 1e-12) -> TruncationBudget:
     # the sup-norm shell count contributes an extra x^(g-1) factor
     q_eff = q + B.g - 1
     peak = (rho + math.sqrt(rho * rho + 2.0 * lam * q_eff / math.pi)) / (2.0 * lam)
-    R = max(1, int(math.ceil(rho / lam)), int(math.ceil(peak)))
+    # peak is not finite only when 2 lam (times q_eff) is beyond double range;
+    # the peak then lies below 1, as rho^2 is finite and lam that large
+    R = max(1, int(math.ceil(rho / lam)), int(math.ceil(peak))) if math.isfinite(peak) else 1
     # double, at most to top, until R certifies eps; then bisect between the
     # last radius that failed and R (never below the start)
     failed = R - 1

@@ -49,9 +49,11 @@ def _check_real_spd(M, name: str, tol: float = 1e-10):
         raise NonPositiveDefinite(f"{name} must be a square matrix")
     if not np.all(np.isfinite(M)):
         raise NonPositiveDefinite(f"{name} must have finite entries")
-    if np.max(np.abs(M - M.T)) > tol * max(1.0, np.max(np.abs(M))):
+    with np.errstate(over="ignore"):  # near the top of double range
+        asym, twice = np.max(np.abs(M - M.T)), M + M.T
+    if asym > tol * max(1.0, np.max(np.abs(M))):
         raise NonPositiveDefinite(f"{name} must be symmetric")
-    M = 0.5 * (M + M.T)
+    M = 0.5 * twice if np.isfinite(twice).all() else 0.5 * M + 0.5 * M.T
     if np.linalg.eigvalsh(M)[0] <= 0:
         raise NonPositiveDefinite(f"{name} must be positive definite")
     return M

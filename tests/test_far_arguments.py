@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from thetagauss import CanonicalPoint, MomentData, SamplerConfig, draw, fit, support_radius
+from thetagauss import CanonicalPoint, DiscreteGaussian, MomentData, SamplerConfig, draw, fit, support_radius
 from thetagauss.engine import ThetaPoint, theta, truncation_radius
 from thetagauss.errors import ToleranceUnreachable
 from thetagauss.fitting import forward_moments
@@ -95,3 +95,44 @@ def test_cli_exits_3(tmp_path, argv, u):
     code, text = run(tmp_path, argv)
     assert code == 3
     assert strict_loads(text)["error"] == "ToleranceUnreachable"
+
+
+@pytest.mark.parametrize("a", [None, (4,)], ids=["theta", "order_4"])
+@pytest.mark.parametrize("B", [1e300, 1e308, 1.7e308])
+def test_radius_near_the_top_of_double_range(B, a):
+    """2 lam, or 2 lam q, beyond double range: the search starts at 1, and
+    every shell past the first ball underflows."""
+    assert truncation_radius([[B]], [0.0], a).radius == 1.0
+
+
+def test_theta_at_b_1e308():
+    assert theta(ThetaPoint([0.0], [[1e308]])) == 1.0
+
+
+def test_law_at_b_1e308():
+    assert DiscreteGaussian([0.0], [[1e308]]).pmf([0]) == 1.0
+
+
+def test_moments_of_a_law_too_narrow_near_the_top_of_double_range():
+    with pytest.raises(ToleranceUnreachable, match="law's covariance"):
+        forward_moments(CanonicalPoint([-1.0], [[5.6e307]]))
+
+
+@pytest.mark.parametrize("make", [CanonicalPoint, MomentData], ids=["CanonicalPoint", "MomentData"])
+@pytest.mark.parametrize("M", [[[1e308]], [[1e308, 9e307], [9e307, 1.7e308]]], ids=["1x1", "2x2"])
+def test_symmetrising_a_matrix_near_the_top_of_double_range(make, M):
+    held = make([0.0] * len(M), M)
+    assert np.array_equal(held.B if make is CanonicalPoint else held.sigma, M)
+
+
+def test_cli_theta_at_b_1e308(tmp_path):
+    code, text = run(tmp_path, ["theta", "--params", write_params(tmp_path / "p.json", [[1e308]])])
+    assert code == 0
+    doc = strict_loads(text)
+    assert doc["result"]["theta"] == [1.0, 0.0] and doc["diagnostics"]["radius"] == 1.0
+
+
+def test_cli_fit_reports_a_finite_eigenvalue_near_the_top_of_double_range(tmp_path):
+    code, text = run(tmp_path, ["fit", "--mu", "[0.0]", "--sigma", "[[1e308]]"])
+    assert code == 3
+    assert "1.000e+308" in strict_loads(text)["message"]
