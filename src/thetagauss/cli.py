@@ -57,7 +57,7 @@ from .geometry import (
     verify_cubic,
 )
 from .multiindex import moment_map_indices
-from .sampler import RNG_ALGORITHM, SamplerConfig, _draw
+from .sampler import RNG_ALGORITHM, SamplerConfig, draw, support_radius
 
 
 class InputError(InvalidParameters):
@@ -297,11 +297,11 @@ def _run_sample(args):
         raise InputError("count", "sample requires --count >= 1")
     p = CanonicalPoint(u, B)
     scfg = SamplerConfig(tail_eps=min(args.tol, 1e-6), seed=args.seed)
-    # the radius of the ball about round(B^-1 u) that the draws came from
-    sample, radius = _draw(p, args.count, scfg)
+    sample = draw(p, args.count, scfg)
     echo = {"g": p.g, "u": u, "B": B, "count": args.count, "seed": args.seed}
     result = {"draws": sample, "rng": RNG_ALGORITHM, "tail_eps": scfg.tail_eps}
-    return result, echo, _diag(eps=scfg.tail_eps, radius=radius)
+    # the radius of the support the draws came from, held on p by draw
+    return result, echo, _diag(eps=scfg.tail_eps, radius=support_radius(p, scfg.tail_eps))
 
 
 def _run_verify(args):

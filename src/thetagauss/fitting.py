@@ -89,13 +89,17 @@ class MomentData:
 @dataclass(frozen=True)
 class CanonicalPoint:
     """Real canonical parameters: u in R^g, B real symmetric positive
-    definite (the real slice of the Siegel right half-space).
+    definite (the real slice of the Siegel right half-space).  B is held as
+    (B + B^T) / 2, formed without overflow for entries near the top of
+    double range.
 
     u and B are read-only copies of the caller's arrays, so the point
     cannot change after construction.  That lets the sampler hold the
     support it forms for the law on the point itself (`_support`, see
-    sampler._support_weights): one support per point, freed with it, and
-    outside equality and repr."""
+    sampler._support_weights: the ball about m = round(B^-1 u) with the
+    weights and theta of the law of X - m): one support per point, read by
+    draw, chi_square and support_radius, freed with the point, and outside
+    equality and repr."""
 
     u: np.ndarray
     B: np.ndarray

@@ -3,21 +3,23 @@
 The sampler works about the lattice point m = round(B^-1 u) nearest the
 mode.  By the translation action, X - m is the discrete Gaussian at
 (u - Bm, B), whose argument lies in the fundamental cell B [-1/2, 1/2]^g,
-so theta there, and the certified radius of its tail bound, depend on the
-spread of the law and not on the distance of its mean from the origin.
-The sampler enumerates the ball about m whose certified tail mass is
-below tail_eps, in the deterministic shell order about m, builds the
-cumulative weights and inverts the CDF with 53-bit uniforms from a
-counter-based Philox generator.  The sampled law equals the pmf restricted
-to the enumerated support, renormalized; its total variation distance from
-the true pmf is below tail_eps by construction.  Identical (parameters,
-count, config) always produce the identical sample.
+so theta there, the certified radius of its tail bound and the weights
+depend on the spread of the law and not on the distance of its mean from
+the origin.  One function (_support_weights) certifies, enumerates and
+weighs the support in that frame: the ball whose certified tail mass is
+below tail_eps, in the deterministic shell order, weighed at (u - Bm, B)
+and then moved to m.  draw builds the cumulative weights and inverts the
+CDF with 53-bit uniforms from a counter-based Philox generator.  The
+sampled law equals the pmf restricted to the enumerated support,
+renormalized; its total variation distance from the true pmf is below
+tail_eps by construction.  Identical (parameters, count, config) always
+produce the identical sample.
 
 The support (its points, weights, theta and radius) is held on the law's
-CanonicalPoint, so draw and chi_square on one point form it once.  Samples
-keep their public N x g shape, but chi_square counts them coordinate-major:
-it builds each row's cell index one coordinate (one column of the sample) at
-a time, with no row-wise mask or gather.
+CanonicalPoint, so draw, chi_square and support_radius on one point form
+it once.  Samples keep their public N x g shape, but chi_square counts them
+coordinate-major: it builds each row's cell index one coordinate (one
+column of the sample) at a time, with no row-wise mask or gather.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _real, _summands_at, lattice_points, theta, truncation_radius
-from .errors import InvalidParameters, ToleranceUnreachable, TooFewSamples
+from .errors import InvalidParameters, TooFewSamples
 from .fitting import CanonicalPoint, _about_mode
 
 RNG_ALGORITHM = "philox4x64"  # numpy Philox, 53-bit mantissa uniforms
@@ -47,7 +49,8 @@ class SamplerConfig:
 
 def support_radius(p: CanonicalPoint, tail_eps: float) -> float:
     """Radius R with total pmf mass beyond ||n - m|| <= R below tail_eps,
-    m = round(B^-1 u) the lattice point nearest the mode.
+    m = round(B^-1 u) the lattice point nearest the mode: the radius of the
+    support that _support_weights holds on p for tail_eps.
 
     R is the engine's certified radius for theta at (u - Bm, B) with the
     tail bound tail_eps * theta(u - Bm, B), so it does not grow with the
@@ -55,39 +58,35 @@ def support_radius(p: CanonicalPoint, tail_eps: float) -> float:
     when that bound is below the engine's double-precision floor EPS_FLOOR
     (theta(u - Bm, B) >= 1, so this can happen for tail_eps < EPS_FLOOR).
     """
-    return _certified_ball(p, tail_eps)[2]
-
-
-def _certified_ball(p: CanonicalPoint, tail_eps: float) -> tuple[np.ndarray, float, float]:
-    """m = round(B^-1 u) as integers, theta(u - Bm, B) and the certified
-    radius about m.  Raises ToleranceUnreachable, from _about_mode, when m
-    is beyond 2^53 or u - Bm is not finite."""
-    m, tp = _about_mode(p)
-    t = theta(tp, 1e-12).real
-    budget = truncation_radius(tp.B, tp.u, None, tail_eps * t)
-    return m.astype(np.int64), t, budget.radius
+    return _support_weights(p, tail_eps)[3]
 
 
 def _support_weights(p: CanonicalPoint, tail_eps: float):
     """Support points in shell order about m = round(B^-1 u), their
-    unnormalised weights at (u, B), theta(u, B) and the support radius.
+    unnormalised weights, theta and the support radius, the last three
+    those of the law of X - m, the discrete Gaussian at (u - Bm, B).
 
-    theta(u, B) = theta(u - Bm, B) exp(2 pi (m.u - 1/2 m^T B m)); the
-    weights and that factor are the engine's summands (_summands_at) at
-    (u, B) and the absolute points, so they overflow, and
-    ToleranceUnreachable is raised, for a mean far enough from the origin.
+    The ball is certified and weighed in that centred frame (_about_mode):
+    its radius is the engine's for the tail bound tail_eps * theta(u - Bm, B),
+    its weights are the engine's summands (_summands_at) at (u - Bm, B) on
+    the ball about the origin, and m is added to the points only after.
+    Weights and theta share the frame, so weights / theta is the pmf at
+    (u, B) on the support, and no weight grows with the distance of the
+    mean from the origin.  Raises ToleranceUnreachable when m is beyond
+    2^53 or u - Bm is not finite (_about_mode), when theta(u - Bm, B) is
+    not finite, or when the tail bound is below EPS_FLOOR.
 
     The result is read-only and is held on p for the last tail_eps asked
     (p cannot change, see CanonicalPoint), so draw followed by chi_square
-    on one point forms the support once."""
+    or support_radius on one point forms the support once."""
     if p._support is not None and p._support[0] == tail_eps:
         return p._support[1]
-    m, t, radius = _certified_ball(p, tail_eps)
-    pts = lattice_points(p.g, radius) + m
-    weights = _summands_at(pts, p.u, p.B).real
-    t *= weights[0]  # pts[0] = m: the ball's points start at its centre
-    if not (np.isfinite(weights).all() and np.isfinite(t)):
-        raise ToleranceUnreachable("sampler weights overflow double precision")
+    m, centred = _about_mode(p)
+    t = theta(centred, 1e-12).real
+    radius = truncation_radius(centred.B, centred.u, None, tail_eps * t).radius
+    ball = lattice_points(p.g, radius)
+    weights = _summands_at(ball, centred.u.real, p.B).real
+    pts = ball + m.astype(np.int64)
     pts.setflags(write=False)
     weights.setflags(write=False)
     support = (pts, weights, t, radius)
@@ -101,21 +100,13 @@ def draw(p: CanonicalPoint, count: int, cfg: SamplerConfig) -> np.ndarray:
     Returns an integer array of shape (count, g); reproducible given the
     seed (Philox counter-based stream, one uniform per draw).
     """
-    return _draw(p, count, cfg)[0]
-
-
-def _draw(p: CanonicalPoint, count: int, cfg: SamplerConfig) -> tuple[np.ndarray, float]:
-    """draw, and the support radius it sampled within (see support_radius)."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    pts, weights, _, radius = _support_weights(p, cfg.tail_eps)
+    pts, weights, _, _ = _support_weights(p, cfg.tail_eps)
     cdf = np.cumsum(weights)
-    total = cdf[-1]
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    uniforms = rng.random(count) * total
-    idx = np.searchsorted(cdf, uniforms, side="right")
-    idx = np.minimum(idx, len(pts) - 1)
-    return np.take(pts, idx, axis=0), radius
+    uniforms = np.random.Generator(np.random.Philox(cfg.seed)).random(count) * cdf[-1]
+    idx = np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(pts) - 1)
+    return np.take(pts, idx, axis=0)
 
 
 def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:

@@ -27,22 +27,24 @@ def far_point():
 class TestSupportHeldOnPoint:
     @pytest.fixture
     def certified(self, monkeypatch):
-        """The tail_eps of every _certified_ball call."""
+        """The eps of every truncation_radius call of the sampler: the
+        tail bound tail_eps * theta(u - Bm, B) of a support."""
         calls = []
-        certify = sampler._certified_ball
+        certify = sampler.truncation_radius
 
-        def counting(p, tail_eps):
-            calls.append(tail_eps)
-            return certify(p, tail_eps)
+        def counting(B, u, a, eps):
+            calls.append(eps)
+            return certify(B, u, a, eps)
 
-        monkeypatch.setattr(sampler, "_certified_ball", counting)
+        monkeypatch.setattr(sampler, "truncation_radius", counting)
         return calls
 
     def test_draw_then_chi_square_certify_once(self, certified):
         p = far_point()
         x = draw(p, 2000, SamplerConfig(seed=3))
         chi_square(x, p)
-        assert certified == [1e-9]
+        assert sampler.support_radius(p, 1e-9) > 0
+        assert len(certified) == 1
 
     def test_fresh_equal_point_gives_the_same_statistic(self):
         p = far_point()
@@ -53,7 +55,8 @@ class TestSupportHeldOnPoint:
         p = far_point()
         x = draw(p, 2000, SamplerConfig(tail_eps=1e-6, seed=3))
         stat = chi_square(x, p)
-        assert certified[:2] == [1e-6, 1e-9]
+        assert len(certified) == 2
+        assert certified[0] / certified[1] == pytest.approx(1e3, rel=1e-12)  # one theta
         assert np.array_equal(x, draw(far_point(), 2000, SamplerConfig(tail_eps=1e-6, seed=3)))
         assert stat == chi_square(x, far_point())
 

@@ -6,7 +6,7 @@ from thetagauss import CanonicalPoint, SamplerConfig
 from thetagauss.engine import TWO_PI, ThetaPoint, lattice_points, theta
 from thetagauss.errors import InvalidParameters, ToleranceUnreachable, TooFewSamples
 from thetagauss.fitting import forward_moments
-from thetagauss import sampler
+from thetagauss import engine, sampler
 from thetagauss.sampler import chi_square, draw, support_radius
 
 from oracles import brute_pearson, brute_pmf, brute_pmf_about
@@ -145,21 +145,32 @@ class TestExactness:
 
 
 class TestOverflow:
-    # Sigma = [[1, .3], [.3, 1]], mu = (38, -19): the weights exceed double range
+    """Sigma = [[1, .3], [.3, 1]], mu = (38, -19): the weights at (u, B)
+    are beyond double range, those at (u - Bm, B) about m are not."""
+
     SIGMA = np.array([[1.0, 0.3], [0.3, 1.0]])
+    MEAN = np.array([38.0, -19.0])
 
     def point(self):
         B = np.linalg.inv(self.SIGMA) / TWO_PI
-        return CanonicalPoint(B @ np.array([38.0, -19.0]), B)
+        return CanonicalPoint(B @ self.MEAN, B)
 
-    def test_draw_raises(self):
-        with pytest.raises(tg.errors.ToleranceUnreachable):
-            draw(self.point(), 100, SamplerConfig(seed=3))
+    def test_draws_about_the_mean(self):
+        p = self.point()
+        x = draw(p, 20_000, SamplerConfig(seed=3))
+        # the sample mean is within 5 standard errors of the mean
+        assert np.all(np.abs(x.mean(axis=0) - self.MEAN) < 5 * np.sqrt(np.diag(self.SIGMA) / len(x)))
+        m = np.round(np.linalg.solve(p.B, p.u))
+        assert np.all(np.linalg.norm(x - m, axis=1) <= support_radius(p, 1e-9))
 
-    def test_chi_square_raises(self):
-        sample = np.tile([38, -19], (100, 1))
-        with pytest.raises(tg.errors.ToleranceUnreachable):
-            chi_square(sample, self.point())
+    def test_chi_square_matches_brute_force(self):
+        p = self.point()
+        x = draw(p, 5000, SamplerConfig(seed=3))
+        stat, dof = chi_square(x, p)
+        m = np.round(np.linalg.solve(p.B, p.u)).astype(int)
+        want_stat, want_dof = brute_pearson(x, p.u, p.B, K=10, centre=m)
+        assert dof == want_dof
+        assert stat == pytest.approx(want_stat, rel=1e-9)
 
 
 class TestCentring:
@@ -321,12 +332,16 @@ class TestChiSquareTie:
             assert stat == pytest.approx(want[0], rel=1e-12)
 
 
-def test_support_beyond_the_radius_cap_is_typed_error():
-    """A mean 1e9 from the origin: the weights raise ToleranceUnreachable
-    before any table over the distance of the mean is built."""
+def test_far_mean_draws_within_the_support_radius(monkeypatch):
+    """A mean 1e9 from the origin: the draws lie within the support radius
+    of m = 1e9, and no ball over the distance of the mean is enumerated."""
+    monkeypatch.setattr(engine, "_BALLS", {})
     p = CanonicalPoint([1e9], [[1.0]])
-    with pytest.raises(tg.errors.ToleranceUnreachable):
-        draw(p, 10, SamplerConfig(seed=1))
+    x = draw(p, 1000, SamplerConfig(seed=1))
+    R = support_radius(p, 1e-9)
+    assert np.all(np.abs(x - 10**9) <= R)
+    # the largest held ball is theta's at eps 1e-12, radius 4
+    assert all(held[0] <= 16 for held in engine._BALLS.values())
 
 
 class TestChiSquareShape:
