@@ -1,6 +1,6 @@
 """Input errors of the CLI (exit 2 with the named field) and of the
-library (ValueError, or the typed error of a complex value given to a
-real-only entry point) that no other test reaches."""
+library (ValueError, a typed error, or the typed error of a complex value
+given to a real-only entry point) that no other test reaches."""
 
 import json
 
@@ -13,10 +13,17 @@ from thetagauss import (
     MomentData,
     SplitSpec,
     chi_square,
+    fit,
     fit_from_sample,
 )
 from thetagauss.engine import SiegelMatrix, truncation_radius
-from thetagauss.errors import InvalidParameters, NonPositiveDefinite, NotUnimodular
+from thetagauss.errors import InvalidParameters, NonPositiveDefinite, NotUnimodular, RankDeficientInput
+from thetagauss.geometry import (
+    find_theta_zero,
+    fit_vanishing_form,
+    identifiability_probe,
+    kummer_quartic_fit,
+)
 
 from test_cli import run, strict_loads
 
@@ -34,8 +41,18 @@ REAL = json.dumps({"g": 1, "u": [[0.2, 0.0]], "B": [[[1.0, 0.0]]]})
         (["theta"], "[1, 2]", "params_file"),
         (["theta"], json.dumps({"g": 0, "B": []}), "g"),
         (["fit", "--mu", "[0.0", "--sigma", "[[1.0]]"], None, "mu"),
+        (["pmf"], REAL, "n"),
     ],
-    ids=["sample_complex_u", "sample_no_count", "map_d_1", "invalid_json", "json_list", "g_0", "mu"],
+    ids=[
+        "sample_complex_u",
+        "sample_no_count",
+        "map_d_1",
+        "invalid_json",
+        "json_list",
+        "g_0",
+        "mu",
+        "pmf_no_n",
+    ],
 )
 def test_cli_exits_2_on_the_field(tmp_path, argv, params, field):
     if params is not None:
@@ -57,12 +74,58 @@ def test_cli_exits_2_on_the_field(tmp_path, argv, params, field):
         (lambda: MomentData(np.zeros(2), np.eye(3)), "mu and sigma"),
         (lambda: CanonicalPoint(np.zeros(2), np.eye(3)), "u and B"),
         (lambda: DiscreteGaussian([0.0, 0.0], np.eye(2)).cumulant((0, 0)), "cumulant"),
+        (lambda: find_theta_zero(([0.0], [1.0, 0.0]), np.eye(2)), "line must be"),
+        (lambda: find_theta_zero(([0.0, 0.0], [0.0, 0.0]), np.eye(2)), "direction"),
+        (lambda: fit_vanishing_form(np.ones(10), 2), "rows of homogeneous"),
+        (lambda: kummer_quartic_fit(np.eye(3), np.ones((40, 4))), "g = 2"),
+        (lambda: kummer_quartic_fit(np.eye(2), np.ones((40, 3))), "P\\^3"),
+        (lambda: identifiability_probe(np.eye(3), 1), "g in"),
+        (lambda: fit_from_sample(np.zeros((4, 2, 2))), "lattice vectors"),
+        (lambda: LAW.same_distribution(DiscreteGaussian([0.0, 0.0], np.eye(2))), "dimensions"),
+        (lambda: DiscreteGaussian([0.0, 0.0], np.eye(2)).is_independent_split(SplitSpec(1, 2)), "split"),
     ],
-    ids=["non_square_B", "eps_zero", "eps_negative", "moment_sizes", "point_sizes", "cumulant_0"],
+    ids=[
+        "non_square_B",
+        "eps_zero",
+        "eps_negative",
+        "moment_sizes",
+        "point_sizes",
+        "cumulant_0",
+        "zero_line_shape",
+        "zero_direction",
+        "form_points_1d",
+        "kummer_g3",
+        "kummer_point_shape",
+        "probe_g3",
+        "sample_3d",
+        "same_distribution_genera",
+        "split_mismatch",
+    ],
 )
 def test_library_raises_value_error(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: fit_vanishing_form(np.zeros((0, 4)), 2), RankDeficientInput, "no points"),
+        (lambda: fit_vanishing_form(np.ones((40, 4)), 4), RankDeficientInput, "subspace"),
+        (lambda: MomentData(np.zeros(2), np.ones((2, 3))), NonPositiveDefinite, "square"),
+    ],
+    ids=["form_no_points", "form_rank_deficient", "moments_non_square_sigma"],
+)
+def test_library_raises_typed_error(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_fit_reads_a_mu_sigma_pair_as_its_target():
+    target = ([0.3, -1.2], [[0.5, 0.1], [0.1, 0.4]])
+    got, want = fit(target, 1e-8), fit(MomentData(*target), 1e-8)
+    assert np.array_equal(got.params.u, want.params.u)
+    assert np.array_equal(got.params.B, want.params.B)
 
 
 LAW = DiscreteGaussian([0.1], [[1.0]])
