@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from thetagauss import CanonicalPoint, DiscreteGaussian, MomentData, SamplerConfig, draw, fit, support_radius
-from thetagauss.engine import ThetaPoint, theta, truncation_radius
+from thetagauss.engine import ThetaPoint, _tail_bound, theta, truncation_radius
 from thetagauss.errors import ToleranceUnreachable
 from thetagauss.fitting import forward_moments
 
@@ -103,6 +103,13 @@ def test_radius_near_the_top_of_double_range(B, a):
     """2 lam, or 2 lam q, beyond double range: the search starts at 1, and
     every shell past the first ball underflows."""
     assert truncation_radius([[B]], [0.0], a).radius == 1.0
+
+
+@pytest.mark.parametrize("q", [0, 4])
+def test_tail_bound_where_every_shell_term_underflows(q):
+    """The shells past the head sum to 0, not to a nan formed from the
+    ratio -inf - (-inf) of two underflowed logs."""
+    assert _tail_bound(1, 1e308, 0.0, q, 1) == 0.0
 
 
 def test_theta_at_b_1e308():
