@@ -66,7 +66,7 @@ def _finite_vector(v, name: str) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentData:
     """Fitting target: real mean vector and SPD covariance."""
 
@@ -86,7 +86,7 @@ class MomentData:
         return len(self.mu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalPoint:
     """Real canonical parameters: u in R^g, B real symmetric positive
     definite (the real slice of the Siegel right half-space).  B is held as
@@ -99,11 +99,14 @@ class CanonicalPoint:
     sampler._support_weights: the ball about m = round(B^-1 u) with the
     weights and theta of the law of X - m): one support per point, read by
     draw, chi_square and support_radius, freed with the point, and outside
-    equality and repr."""
+    repr.
+
+    Like MomentData and FitReport, a point compares by identity (eq=False):
+    equality of the array fields has no single truth value at g >= 2."""
 
     u: np.ndarray
     B: np.ndarray
-    _support: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _support: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         u = np.array(_finite_vector(self.u, "u"))
@@ -120,7 +123,7 @@ class CanonicalPoint:
         return len(self.u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitReport:
     params: CanonicalPoint
     iterations: int
@@ -348,7 +351,9 @@ def fit_from_sample(data, tol: float = 1e-9) -> FitReport:
 
     Computes the sample mean and sample covariance (divisor n - 1, matching
     the reference numerics) and delegates to :func:`fit`.  The moments are
-    formed over a coordinate-major copy of the N x g sample: each mean is
+    formed over one coordinate-major copy of the N x g sample, centred in
+    place, with one buffer for the products; the caller's data is never
+    written.  Each mean is
     one sum over a contiguous row, which is exact for integer coordinates
     while every partial sum stays below 2^53, so it is the exact mean
     rounded once.  Each covariance entry is numpy's pairwise sum of the
@@ -370,13 +375,16 @@ def fit_from_sample(data, tol: float = 1e-9) -> FitReport:
     n, g = data.shape
     if n <= 1:
         raise DegenerateSample(f"need at least 2 observations, got {n}")
-    cols = np.ascontiguousarray(data.T)
+    # a copy even where data.T is already C-ordered, as for an N x 1 sample:
+    # it is centred in place
+    cols = np.array(data.T, order="C")
+    products = np.empty_like(cols)
     with np.errstate(over="ignore", invalid="ignore"):
         mu = cols.mean(axis=1)
-        centered = cols - mu[:, None]
+        cols -= mu[:, None]
         # row i is summed along the sample axis: pairwise, on no BLAS thread,
         # and the same products in the same order as column i
-        sigma = np.array([(c * centered).sum(axis=1) for c in centered]) / (n - 1)
+        sigma = np.array([np.multiply(c, cols, out=products).sum(axis=1) for c in cols]) / (n - 1)
     if not np.isfinite(sigma).all():  # an overflowing mean makes it nan too
         raise ValueError("data: the sample moments overflow double precision")
     if np.linalg.eigvalsh(sigma)[0] <= 1e-12 * max(1.0, float(np.trace(sigma))):

@@ -17,9 +17,13 @@ produce the identical sample.
 
 The support (its points, weights, theta and radius) is held on the law's
 CanonicalPoint, so draw, chi_square and support_radius on one point form
-it once.  Samples keep their public N x g shape, but chi_square counts them
+it once.  draw inverts the CDF
+exactly through a guide table of min(16 * support size, count) entries,
+with np.searchsorted only for the few draws the table leaves unresolved.
+Samples keep their public N x g shape, but chi_square counts them
 coordinate-major: it builds each row's cell index one coordinate (one
-column of the sample) at a time, with no row-wise mask or gather.
+column of the sample) at a time and counts the indices with one
+np.bincount, with no row-wise mask or gather.
 """
 
 from __future__ import annotations
@@ -37,6 +41,11 @@ RNG_ALGORITHM = "philox4x64"  # numpy Philox, 53-bit mantissa uniforms
 MIN_EXPECTED_CELL = 5.0
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     tail_eps: float = 1e-9
@@ -45,6 +54,8 @@ class SamplerConfig:
     def __post_init__(self):
         if not 0.0 < self.tail_eps < 1e-3:
             raise ValueError("tail_eps must lie in (0, 1e-3)")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {self.seed!r}")
 
 
 def support_radius(p: CanonicalPoint, tail_eps: float) -> float:
@@ -94,18 +105,59 @@ def _support_weights(p: CanonicalPoint, tail_eps: float):
     return support
 
 
+def _invert_cdf(cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, x, side="right"), exactly, through a guide table
+    (Chen & Asau 1974; Devroye 1986, section III.2.4).  cdf is a cumulative
+    sum of non-negative weights with k / cdf[-1] finite (draw's include the
+    weight 1 of m), and 0 <= x <= cdf[-1].
+
+    Bucket b holds the x with floor(x * scale) = b, scale = k / cdf[-1]
+    (the last bucket also those above), with k = min(16 * len(cdf), len(x))
+    buckets: 16 per support point, but never more than the draw count, so a
+    wide support drawn a few times adds no table beyond one integer per
+    support point.  Rounded, x * scale is still monotone in x, so the cdf
+    entries of lower buckets lie below every x of bucket b, and their count
+    is a lower bound of its answer.  Each x takes at most two upward steps
+    from that bound; the few still unresolved (clusters of tiny weights)
+    are searched by np.searchsorted."""
+    k = min(16 * len(cdf), len(x))
+    scale = k / cdf[-1]
+    # each entry's bucket, cast as it is formed: no float copy of the cdf
+    buckets = np.multiply(cdf, scale, out=np.empty(len(cdf), np.intp), casting="unsafe")
+    below = np.bincount(buckets, minlength=k)
+    guide = np.zeros(k, dtype=np.intp)
+    np.cumsum(below[: k - 1], out=guide[1:])
+    idx = guide[np.minimum((x * scale).astype(np.intp), k - 1)]
+    # past the end the clip reads cdf[-1] <= x, so the answer len(cdf) is
+    # left to the search
+    todo = np.flatnonzero(cdf.take(idx, mode="clip") <= x)
+    for _ in range(2):
+        if not todo.size:
+            return idx
+        idx[todo] += 1
+        todo = todo[cdf.take(idx[todo], mode="clip") <= x[todo]]
+    idx[todo] = np.searchsorted(cdf, x[todo], side="right")
+    return idx
+
+
 def draw(p: CanonicalPoint, count: int, cfg: SamplerConfig) -> np.ndarray:
     """`count` i.i.d. draws by inverse CDF over the enumerated support.
 
     Returns an integer array of shape (count, g); reproducible given the
-    seed (Philox counter-based stream, one uniform per draw).
+    seed (Philox counter-based stream, one uniform per draw).  The CDF is
+    inverted exactly (_invert_cdf, a guide table of min(16 * support size,
+    count) entries), so each draw is the support point that
+    np.searchsorted(cdf, uniform * cdf[-1], side="right") picks.  Raises
+    ValueError unless count is an integer of at least 1.
     """
+    if not _is_integer(count):
+        raise ValueError(f"count must be an integer, not {count!r}")
     if count < 1:
         raise ValueError("count must be at least 1")
     pts, weights, _, _ = _support_weights(p, cfg.tail_eps)
     cdf = np.cumsum(weights)
     uniforms = np.random.Generator(np.random.Philox(cfg.seed)).random(count) * cdf[-1]
-    idx = np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(pts) - 1)
+    idx = np.minimum(_invert_cdf(cdf, uniforms), len(pts) - 1)
     return np.take(pts, idx, axis=0)
 
 
@@ -121,14 +173,14 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
     ||n - m||^2 and then lexicographically, takes the pooled cell.  Returns
     (statistic, dof) with dof = cells - 1.
 
-    Rows are counted through a cell index: a table over the bounding box of
-    the kept cells, widened by one cell on every side, maps each box cell to
-    its position among the kept cells (shell order) or to -1.  Each
-    coordinate of a row is clipped into the box, so a row outside the kept
-    cells' bounding box lands on the margin and, like a row on any other -1
-    entry, falls in the pooled cell.  The table never exceeds that widened
-    box, which lies inside the box m + [-R - 1, R + 1]^g about the support
-    ball, whatever the range of the sample.  Float rows are truncated toward
+    Rows are counted by one np.bincount over their index in the bounding
+    box of the kept cells, widened by one cell on every side, and each kept
+    cell reads its count at its own index.  Each coordinate of a row is
+    clipped into the box, so a row outside the kept cells' bounding box
+    lands on the margin and, like a row on any other cell that is not kept,
+    falls in the pooled cell.  The counts never exceed that widened box,
+    which lies inside the box m + [-R - 1, R + 1]^g about the support ball,
+    whatever the range of the sample.  Float rows are truncated toward
     zero; they are clipped before the cast, so a finite row beyond the int64
     range is pooled like any other far row, and so is a Python int beyond
     that range, read as a float.
@@ -174,14 +226,12 @@ def chi_square(sample, p: CanonicalPoint) -> tuple[float, int]:
     # leave the int64 range, and the cast truncates a float toward zero
     lo, hi = kept_pts.min(axis=0) - 1, kept_pts.max(axis=0) + 1
     shape = tuple(hi - lo + 1)
-    table = np.full(np.prod(shape), -1, dtype=np.intp)
-    table[np.ravel_multi_index(tuple((kept_pts - lo).T), shape)] = np.arange(len(kept_pts))
     flat = np.zeros(n_obs, dtype=np.intp)
     for c, a, b, size in zip(sample.T, lo, hi, shape):  # one coordinate at a time
         flat *= size
         flat += np.clip(c, a, b).astype(np.intp, copy=False) - a
-    cells = table[flat]
-    kept_obs = np.bincount(cells[cells >= 0], minlength=len(kept_pts)).astype(float)
+    counts = np.bincount(flat, minlength=np.prod(shape))
+    kept_obs = counts[np.ravel_multi_index(tuple((kept_pts - lo).T), shape)].astype(float)
 
     pooled_exp = n_obs - float(kept_exp.sum())
     pooled_obs = n_obs - float(kept_obs.sum())

@@ -87,6 +87,25 @@ class TestCanonicalPointCopies:
             p.B[0, 0] = 5.0
 
 
+class TestIdentityEquality:
+    """CanonicalPoint, MomentData and FitReport compare by identity: value
+    equality of their array fields has no truth value at g >= 2."""
+
+    def test_point_at_g2(self):
+        p = far_point()
+        assert p == p
+        assert (p == far_point()) is False
+        assert len({p, p}) == 1
+
+    def test_moments_and_report_at_g2(self):
+        target = fitting.MomentData([0.3, -1.2], [[0.5, 0.1], [0.1, 0.4]])
+        assert target == target
+        assert (target == fitting.MomentData(target.mu, target.sigma)) is False
+        report = fitting.fit(target, 1e-8)
+        assert report == report
+        assert (report == fitting.fit(target, 1e-8)) is False
+
+
 class TestChiSquareFarFloatRows:
     @pytest.mark.parametrize("far", [1e300, 2.0**63, -1e300, -(2.0**63)])
     def test_pooled_without_a_cast_warning(self, far):
@@ -128,6 +147,21 @@ class TestSampleMoments:
             ]
         )
         assert np.max(np.abs(target.sigma - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestSampleMomentsLeaveTheData:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            np.array([[0.0], [1.0], [3.0], [-2.0]]),
+            np.array([0.0, 1.0, 3.0, -2.0]),
+            np.array([[0.0, 1.0], [1.0, -1.0], [3.0, 2.0], [-2.0, 0.0]]),
+        ],
+    )
+    def test_caller_data_unchanged(self, data):
+        before = data.copy()
+        fitting.fit_from_sample(data, tol=1e-6)
+        assert data.tobytes() == before.tobytes()
 
 
 class TestSampleMomentsOverflow:

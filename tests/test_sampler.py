@@ -25,6 +25,15 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(tail_eps=0.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.bool_(False), "1", None, np.int64(-3)])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SamplerConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(7), 2**70])
+    def test_integer_seeds_accepted(self, seed):
+        assert SamplerConfig(seed=seed).seed == seed
+
 
 class TestSupportRadius:
     def test_standard_radius_small(self):
@@ -71,6 +80,10 @@ class TestDraw:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             draw(std1(), 0, SamplerConfig())
+        for count in (True, np.bool_(True), 2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="count"):
+                draw(std1(), count, SamplerConfig())
+        assert draw(std1(), np.int64(3), SamplerConfig()).shape == (3, 1)
 
     def test_g2_independent_coordinates_uncorrelated(self):
         p = CanonicalPoint([0.0, 0.0], np.eye(2))
