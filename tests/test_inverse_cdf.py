@@ -10,7 +10,7 @@ import pytest
 
 from thetagauss import CanonicalPoint, SamplerConfig, sampler
 from thetagauss.engine import TWO_PI
-from thetagauss.sampler import _invert_cdf, draw
+from thetagauss.sampler import draw
 
 
 def searched(cdf, x):
@@ -36,7 +36,7 @@ def probe_points(cdf):
 
 def check(cdf):
     x = probe_points(cdf)
-    got = _invert_cdf(cdf, x)
+    got = sampler._invert_cdf(cdf, x)
     assert got.dtype == np.intp
     assert np.array_equal(got, searched(cdf, x))
 
@@ -45,7 +45,7 @@ class TestInvertCdf:
     def test_one_point_support(self):
         check(np.array([0.75]))
         x = np.array([0.0, 0.3, np.nextafter(0.75, 0.0), 0.75])
-        assert _invert_cdf(np.array([0.75]), x).tolist() == [0, 0, 0, 1]
+        assert sampler._invert_cdf(np.array([0.75]), x).tolist() == [0, 0, 0, 1]
 
     def test_runs_of_zero_weights(self):
         weights = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 2.5, 0.0, 1e-3, 0.0, 0.0])
@@ -77,13 +77,13 @@ class TestInvertCdf:
             return search(a, v, side=side)
 
         monkeypatch.setattr(sampler.np, "searchsorted", counting)
-        got = _invert_cdf(cdf, x)
+        got = sampler._invert_cdf(cdf, x)
         monkeypatch.undo()
         assert searches and searches[-1] > 0
         assert np.array_equal(got, searched(cdf, x))
 
 
-def parent_draw(p, count, cfg):
+def searched_draw(p, count, cfg):
     """draw by a plain binary search of the cumulative weights."""
     pts, weights, _, _ = sampler._support_weights(p, cfg.tail_eps)
     cdf = np.cumsum(weights)
@@ -115,7 +115,7 @@ class TestDrawEqualsTheSearch:
         for seed in range(20):
             cfg = SamplerConfig(seed=seed)
             for count in (1, 7, 5000):
-                assert np.array_equal(draw(p, count, cfg), parent_draw(p, count, cfg))
+                assert np.array_equal(draw(p, count, cfg), searched_draw(p, count, cfg))
 
 
 def test_widest_support_draws_within_a_capped_guide():
@@ -133,5 +133,5 @@ def test_widest_support_draws_within_a_capped_guide():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(x, parent_draw(p, count, cfg))
+    assert np.array_equal(x, searched_draw(p, count, cfg))
     assert peak <= 3 * 8 * n + 64 * count
